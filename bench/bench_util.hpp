@@ -49,8 +49,8 @@ struct AgentRow {
 };
 
 inline void printTableHeader(const char* title, const char* paperRef) {
-  std::printf("\n==== %s ====\n(reproduces %s; see EXPERIMENTS.md for the "
-              "paper-vs-measured discussion)\n",
+  std::printf("\n==== %s ====\n(reproduces %s; see docs/BENCHMARKS.md, "
+              "\"Reproducing Tables I-V\", for the paper-vs-measured notes)\n",
               title, paperRef);
   std::printf("%-44s %9s %12s %8s %8s %8s\n", "agent/strategy", "success",
               "avg iters", "stddev", "min", "max");

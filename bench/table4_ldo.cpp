@@ -7,7 +7,7 @@
 //   Our method                       2609      40.0 dB     632
 //
 // Our substrate's loop gains live around 100 dB rather than 40 (see
-// EXPERIMENTS.md), so the spec is calibrated to sit the same ~2 dB above the
+// docs/BENCHMARKS.md, "Reproducing Tables I–V"), so the spec is calibrated to sit the same ~2 dB above the
 // human reference; the shape — human just under spec, BO close-but-failing,
 // the agent meeting spec with smaller area — is the reproduction target.
 #include "bench/bench_util.hpp"

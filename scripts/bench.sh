@@ -118,7 +118,7 @@ pairs = [
 # dropped) would freeze its BENCH_micro.json entry at the last written value
 # and quietly hollow out the speedup pairs above — fail loudly instead.
 required = sorted({name for _, slow, fast in pairs for name in (slow, fast)}
-                  | {"BM_WireRoundTrip"})
+                  | {"BM_WireRoundTrip", "BM_SurrogateEpoch"})
 missing = [name for name in required if name not in result]
 if missing:
     sys.exit(f"error: expected benchmark(s) missing from {raw_path}: "

@@ -303,7 +303,8 @@ std::vector<core::Spec> Ldo::defaultSpecs() const {
   // The paper's spec row reads "loop gain > 40 dB, area < 650"; our EKV
   // substrate produces loop gains around 90-110 dB, so the gain limit is
   // re-centred to sit ~2 dB above the human reference exactly as the paper's
-  // 40 dB sits above its 38 dB human row (see EXPERIMENTS.md).
+  // 40 dB sits above its 38 dB human row (see docs/BENCHMARKS.md,
+  // "Reproducing Tables I–V").
   return {{"loop_gain_db", SpecKind::kAtLeast, 90.0},
           {"loop_pm_deg", SpecKind::kAtLeast, 45.0},
           {"vout_err_mv", SpecKind::kAtMost, 10.0},

@@ -22,6 +22,12 @@
 #define TRDSE_RESTRICT __restrict__
 #endif
 
+// Fully unrolls a register tile's fixed-extent loops. Only then does every
+// accumulator index become a constant, so the compiler keeps the tile in
+// vector registers; left to its -O2 heuristics, GCC keeps these loops rolled
+// and the tile lives on the stack, one load and store per multiply-add.
+#define TRDSE_UNROLL_TILE _Pragma("GCC unroll 8")
+
 namespace trdse::linalg {
 
 /// Minimal 64-byte-aligned allocator so matrix rows start on cache-line
@@ -187,17 +193,22 @@ inline void gemmTileColumns(const MatrixT<T>& a, const MatrixT<T>& b,
     T acc[kIT][kJT] = {};
     for (std::size_t k = 0; k < depth; ++k) {
       const T* TRDSE_RESTRICT br = b.row(k) + j0;
+      TRDSE_UNROLL_TILE
       for (std::size_t ii = 0; ii < kIT; ++ii) {
         const T aik = a(i0 + ii, k);
+        TRDSE_UNROLL_TILE
         for (std::size_t jj = 0; jj < kJT; ++jj) acc[ii][jj] += aik * br[jj];
       }
     }
+    TRDSE_UNROLL_TILE
     for (std::size_t ii = 0; ii < kIT; ++ii) {
       T* TRDSE_RESTRICT cr = c.row(i0 + ii) + j0;
       if (bias != nullptr) {
+        TRDSE_UNROLL_TILE
         for (std::size_t jj = 0; jj < kJT; ++jj)
           cr[jj] = acc[ii][jj] + bias[j0 + jj];
       } else {
+        TRDSE_UNROLL_TILE
         for (std::size_t jj = 0; jj < kJT; ++jj) cr[jj] = acc[ii][jj];
       }
     }
@@ -307,23 +318,84 @@ void matMulTransBBiasInto(const MatrixT<T>& a, const MatrixT<T>& b,
   detail::matMulBiasInto(a, packBuf, c, bias.data());
 }
 
-/// C += A^T * B, accumulated row-of-A by row-of-A (ascending), so it matches
-/// a sequence of per-sample rank-1 updates bit for bit. This is the weight-
-/// gradient shape: gradW += gradOut^T · inputs.
-template <typename T>
-void gemmAtBAccum(const MatrixT<T>& a, const MatrixT<T>& b, MatrixT<T>& c) {
-  assert(a.rows() == b.rows());
-  assert(c.rows() == a.cols() && c.cols() == b.cols());
+namespace detail {
+
+/// One kIT × kJT tile of C += A^T·B at rows i0.., columns j0.. of C. The tile
+/// is loaded once, accumulated in registers over the rows r of A and B in
+/// ascending order, and stored once. Each element therefore sees exactly the
+/// updates of a per-sample rank-1 loop, in the same order and with the same
+/// skip of zero coefficients (which keeps a -0.0 entry as it is). When `sums`
+/// is non-null, sums[ii] += A(r, i0 + ii) rides along in the same loop,
+/// without the skip.
+template <typename T, std::size_t kIT, std::size_t kJT>
+inline void gemmAtBTile(const MatrixT<T>& a, const MatrixT<T>& b,
+                        MatrixT<T>& c, std::size_t i0, std::size_t j0,
+                        T* sums) {
+  T acc[kIT][kJT];
+  T s[kIT] = {};
+  TRDSE_UNROLL_TILE
+  for (std::size_t ii = 0; ii < kIT; ++ii) {
+    const T* TRDSE_RESTRICT cr = c.row(i0 + ii) + j0;
+    TRDSE_UNROLL_TILE
+    for (std::size_t jj = 0; jj < kJT; ++jj) acc[ii][jj] = cr[jj];
+    if (sums != nullptr) s[ii] = sums[ii];
+  }
   for (std::size_t r = 0; r < a.rows(); ++r) {
-    const T* TRDSE_RESTRICT ar = a.row(r);
-    const T* TRDSE_RESTRICT br = b.row(r);
-    for (std::size_t i = 0; i < a.cols(); ++i) {
-      const T coeff = ar[i];
+    const T* TRDSE_RESTRICT ar = a.row(r) + i0;
+    const T* TRDSE_RESTRICT br = b.row(r) + j0;
+    TRDSE_UNROLL_TILE
+    for (std::size_t ii = 0; ii < kIT; ++ii) {
+      const T coeff = ar[ii];
+      if (sums != nullptr) s[ii] += coeff;
       if (coeff == T{}) continue;
-      T* TRDSE_RESTRICT ci = c.row(i);
-      for (std::size_t j = 0; j < b.cols(); ++j) ci[j] += coeff * br[j];
+      TRDSE_UNROLL_TILE
+      for (std::size_t jj = 0; jj < kJT; ++jj) acc[ii][jj] += coeff * br[jj];
     }
   }
+  TRDSE_UNROLL_TILE
+  for (std::size_t ii = 0; ii < kIT; ++ii) {
+    T* TRDSE_RESTRICT cr = c.row(i0 + ii) + j0;
+    TRDSE_UNROLL_TILE
+    for (std::size_t jj = 0; jj < kJT; ++jj) cr[jj] = acc[ii][jj];
+    if (sums != nullptr) sums[ii] = s[ii];
+  }
+}
+
+/// kIT rows of C += A^T·B, walking column tiles of 8, then 4, then 1. The
+/// column sums of A for those rows ride along with the first tile.
+template <typename T, std::size_t kIT>
+inline void gemmAtBRows(const MatrixT<T>& a, const MatrixT<T>& b,
+                        MatrixT<T>& c, std::size_t i0, T* sums) {
+  const std::size_t n = c.cols();
+  std::size_t j0 = 0;
+  for (; j0 + 8 <= n; j0 += 8, sums = nullptr)
+    gemmAtBTile<T, kIT, 8>(a, b, c, i0, j0, sums);
+  for (; j0 + 4 <= n; j0 += 4, sums = nullptr)
+    gemmAtBTile<T, kIT, 4>(a, b, c, i0, j0, sums);
+  for (; j0 < n; ++j0, sums = nullptr)
+    gemmAtBTile<T, kIT, 1>(a, b, c, i0, j0, sums);
+}
+
+}  // namespace detail
+
+/// C += A^T * B and colSums += the column sums of A, in one pass over A.
+/// This is the dense-layer weight- and bias-gradient shape: gradW +=
+/// gradOut^T · inputs, gradB += column sums of gradOut. Both accumulate over
+/// the rows of A in ascending order, so C matches a sequence of per-sample
+/// rank-1 updates bit for bit, and colSums matches a row-by-row sum. C is
+/// walked in 2 × 8 register tiles (see detail::gemmAtBTile).
+template <typename T>
+void gemmAtBAccum(const MatrixT<T>& a, const MatrixT<T>& b, MatrixT<T>& c,
+                  std::vector<T>& colSums) {
+  assert(a.rows() == b.rows());
+  assert(c.rows() == a.cols() && c.cols() == b.cols());
+  assert(colSums.size() == a.cols());
+  assert(b.cols() > 0 && "the column sums ride on the first column tile");
+  const std::size_t m = c.rows();
+  std::size_t i0 = 0;
+  for (; i0 + 2 <= m; i0 += 2)
+    detail::gemmAtBRows<T, 2>(a, b, c, i0, colSums.data() + i0);
+  if (i0 < m) detail::gemmAtBRows<T, 1>(a, b, c, i0, colSums.data() + i0);
 }
 
 /// Every row of `m` += v (the batched bias add).
@@ -333,17 +405,6 @@ void addRowwise(MatrixT<T>& m, const std::vector<T>& v) {
   for (std::size_t r = 0; r < m.rows(); ++r) {
     T* mr = m.row(r);
     for (std::size_t c = 0; c < m.cols(); ++c) mr[c] += v[c];
-  }
-}
-
-/// out[c] += sum over rows of m(r, c), rows ascending (the batched bias
-/// gradient: per-sample accumulation order preserved).
-template <typename T>
-void addColSums(const MatrixT<T>& m, std::vector<T>& out) {
-  assert(m.cols() == out.size());
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    const T* mr = m.row(r);
-    for (std::size_t c = 0; c < m.cols(); ++c) out[c] += mr[c];
   }
 }
 

@@ -77,15 +77,17 @@ void DenseLayer::predictBatch(const linalg::Matrix& x, linalg::Matrix& out,
   applyActivation(act_, out);
 }
 
-const linalg::Matrix& DenseLayer::backwardBatch(const linalg::Matrix& gradOut) {
+void DenseLayer::backwardBatch(const linalg::Matrix& gradOut) {
   assert(gradOut.cols() == outDim());
   assert(gradOut.rows() == lastInputB_.rows() && "forwardBatch must precede");
   gradOutB_ = gradOut;
   applyActivationGrad(act_, lastPreB_, lastOutB_, gradOutB_);
-  // dW += G^T X and db += column sums of G, both accumulated sample-ascending
-  // so gradients match the per-sample backward() exactly.
-  gemmAtBAccum(gradOutB_, lastInputB_, gradW_);
-  addColSums(gradOutB_, gradB_);
+  // dW += G^T X and db += column sums of G in one pass, both accumulated
+  // sample-ascending so gradients match the per-sample backward() exactly.
+  gemmAtBAccum(gradOutB_, lastInputB_, gradW_, gradB_);
+}
+
+const linalg::Matrix& DenseLayer::inputGradBatch() {
   // dL/dX = G * W.
   matMulInto(gradOutB_, weights_, gradInB_);
   return gradInB_;

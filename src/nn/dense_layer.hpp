@@ -1,7 +1,8 @@
 // A fully-connected layer with a fused activation: y = act(W x + b).
 //
-// Gradients accumulate into gradW/gradB until zeroGrad(); backward() returns
-// dL/dx so layers can be chained by the owning Mlp.
+// Gradients accumulate into gradW/gradB until zeroGrad() or an optimizer step
+// consumes them; backward() returns dL/dx so layers can be chained by the
+// owning Mlp.
 #pragma once
 
 #include <cstdint>
@@ -49,9 +50,13 @@ class DenseLayer {
                     linalg::Matrix& packBuf) const;
 
   /// Batched backward for the most recent forwardBatch(): accumulates dL/dW
-  /// and dL/db over the batch (row order, matching per-sample accumulation)
-  /// and returns dL/dX (valid until the next batched call on this layer).
-  const linalg::Matrix& backwardBatch(const linalg::Matrix& gradOut);
+  /// and dL/db over the batch (row order, matching per-sample accumulation).
+  void backwardBatch(const linalg::Matrix& gradOut);
+
+  /// dL/dX for the most recent backwardBatch(), computed on demand so the
+  /// first layer of a network never pays for it. Call before the weights
+  /// change; valid until the next batched call on this layer.
+  const linalg::Matrix& inputGradBatch();
 
   /// Clear accumulated weight/bias gradients.
   void zeroGrad();
@@ -100,7 +105,7 @@ class DenseLayer {
   linalg::Matrix lastOutB_;
   linalg::Matrix packB_;    // W^T, repacked per batched call
   linalg::Matrix gradOutB_; // activation-grad workspace
-  linalg::Matrix gradInB_;  // returned dL/dX
+  linalg::Matrix gradInB_;  // dL/dX from inputGradBatch()
 };
 
 }  // namespace trdse::nn

@@ -73,6 +73,7 @@ TrainStats trainEpochMse(Mlp& net, Optimizer& opt,
 
   double lossSum = 0.0;
   std::size_t seen = 0;
+  net.zeroGrad();  // each opt.step() leaves the gradients zeroed again
   for (std::size_t start = 0; start < order.size(); start += batchSize) {
     const std::size_t end = std::min(order.size(), start + batchSize);
     const std::size_t b = end - start;
@@ -86,7 +87,6 @@ TrainStats trainEpochMse(Mlp& net, Optimizer& opt,
       std::copy(x.begin(), x.end(), bx.row(k - start));
       std::copy(y.begin(), y.end(), by.row(k - start));
     }
-    net.zeroGrad();
     const linalg::Matrix& pred = net.forwardBatch(bx);
     lossSum += mseLossGradBatch(pred, by, invB, grad);
     net.backwardBatch(grad);

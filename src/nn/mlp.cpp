@@ -69,12 +69,13 @@ linalg::Matrix Mlp::predictBatch(const linalg::Matrix& x) const {
   return out;
 }
 
-const linalg::Matrix& Mlp::backwardBatch(const linalg::Matrix& gradOut) {
+void Mlp::backwardBatch(const linalg::Matrix& gradOut) {
   assert(!layers_.empty());
   const linalg::Matrix* g = &gradOut;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it)
-    g = &it->backwardBatch(*g);
-  return *g;
+  for (std::size_t i = layers_.size(); i-- > 0;) {
+    layers_[i].backwardBatch(*g);
+    if (i > 0) g = &layers_[i].inputGradBatch();
+  }
 }
 
 void Mlp::zeroGrad() {

@@ -69,9 +69,9 @@ class Mlp {
   linalg::Matrix predictBatch(const linalg::Matrix& x) const;
 
   /// Batched backprop from the most recent forwardBatch(); gradients
-  /// accumulate until zeroGrad(). Returns dL/dX (valid until the next
-  /// batched call).
-  const linalg::Matrix& backwardBatch(const linalg::Matrix& gradOut);
+  /// accumulate until zeroGrad() or an optimizer step. dL/dX of the input
+  /// has no reader and is not formed.
+  void backwardBatch(const linalg::Matrix& gradOut);
 
   /// Clear all accumulated parameter gradients.
   void zeroGrad();

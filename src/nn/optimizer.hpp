@@ -12,7 +12,7 @@ class Optimizer {
  public:
   virtual ~Optimizer() = default;
   /// Apply one update using the gradients currently accumulated in `net`,
-  /// then zero them.
+  /// zeroing them as they are consumed.
   virtual void step(Mlp& net) = 0;
   /// Drop all optimizer state (moments, step counters).
   virtual void reset() = 0;

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <random>
 #include <sstream>
 
@@ -135,6 +137,108 @@ TEST(Optimizer, SgdMomentumDescends) {
   const double loss0 = evaluateMse(net, xs, ys);
   for (int e = 0; e < 100; ++e) trainEpochMse(net, opt, xs, ys, 2, rng);
   EXPECT_LT(evaluateMse(net, xs, ys), loss0);
+}
+
+/// The three-pass Adam update that the in-place AdamOptimizer::step
+/// replaced, kept as its reference: copy the flat gradient, form an update
+/// vector, params += -lr * update, then zero the gradients.
+struct ThreePassAdam {
+  double lr = 3e-3;
+  double beta1 = 0.9;
+  double beta2 = 0.999;
+  double eps = 1e-8;
+  long t = 0;
+  linalg::Vector m;
+  linalg::Vector v;
+
+  void step(Mlp& net) {
+    const linalg::Vector g = net.getGradients();
+    if (m.size() != g.size()) {
+      m.assign(g.size(), 0.0);
+      v.assign(g.size(), 0.0);
+      t = 0;
+    }
+    ++t;
+    const double bc1 = 1.0 - std::pow(beta1, static_cast<double>(t));
+    const double bc2 = 1.0 - std::pow(beta2, static_cast<double>(t));
+    linalg::Vector update(g.size());
+    for (std::size_t i = 0; i < g.size(); ++i) {
+      m[i] = beta1 * m[i] + (1.0 - beta1) * g[i];
+      v[i] = beta2 * v[i] + (1.0 - beta2) * g[i] * g[i];
+      const double mHat = m[i] / bc1;
+      const double vHat = v[i] / bc2;
+      update[i] = mHat / (std::sqrt(vHat) + eps);
+    }
+    net.addToParameters(update, -lr);
+    net.zeroGrad();
+  }
+};
+
+/// Bit patterns, so -0.0 and 0.0 (and NaN payloads) are told apart.
+std::vector<std::uint64_t> bitsOf(const linalg::Vector& v) {
+  std::vector<std::uint64_t> out(v.size());
+  for (std::size_t i = 0; i < v.size(); ++i)
+    out[i] = std::bit_cast<std::uint64_t>(v[i]);
+  return out;
+}
+
+TEST(Optimizer, InPlaceAdamMatchesThreePassReference) {
+  MlpConfig cfg;
+  cfg.layerSizes = {9, 48, 48, 4};
+  Mlp fused(cfg, 5);
+  Mlp ref(cfg, 5);
+  AdamOptimizer opt(3e-3);
+  ThreePassAdam refOpt;
+  std::mt19937_64 rng(8);
+  std::uniform_real_distribution<double> d(-1.0, 1.0);
+  linalg::Matrix x(16, 9);
+  linalg::Matrix y(16, 4);
+  linalg::Matrix grad;
+  fused.zeroGrad();
+  ref.zeroGrad();
+  for (int s = 0; s < 60; ++s) {
+    for (std::size_t i = 0; i < x.size(); ++i) x.data()[i] = d(rng);
+    for (std::size_t i = 0; i < y.size(); ++i) y.data()[i] = d(rng);
+    for (Mlp* net : {&fused, &ref}) {
+      const linalg::Matrix& pred = net->forwardBatch(x);
+      mseLossGradBatch(pred, y, 1.0 / 16.0, grad);
+      net->backwardBatch(grad);
+    }
+    ASSERT_EQ(bitsOf(fused.getGradients()), bitsOf(ref.getGradients()));
+    opt.step(fused);
+    refOpt.step(ref);
+    ASSERT_EQ(bitsOf(fused.getParameters()), bitsOf(ref.getParameters()))
+        << "step " << s;
+    ASSERT_EQ(bitsOf(opt.firstMoments()), bitsOf(refOpt.m));
+    ASSERT_EQ(bitsOf(opt.secondMoments()), bitsOf(refOpt.v));
+    for (double g : fused.getGradients()) ASSERT_EQ(g, 0.0);
+  }
+  EXPECT_EQ(opt.stepCount(), refOpt.t);
+}
+
+TEST(Optimizer, InPlaceSgdMomentumMatchesThreePassReference) {
+  Mlp fused(smallConfig(), 6);
+  Mlp ref(smallConfig(), 6);
+  SgdOptimizer opt(0.05, 0.9);
+  linalg::Vector velocity;
+  std::mt19937_64 rng(9);
+  std::uniform_real_distribution<double> d(-1.0, 1.0);
+  for (int s = 0; s < 20; ++s) {
+    const linalg::Vector x = {d(rng), d(rng), d(rng)};
+    const linalg::Vector y = {d(rng), d(rng)};
+    for (Mlp* net : {&fused, &ref}) net->backward(mseGrad(net->forward(x), y));
+    opt.step(fused);
+    linalg::Vector g = ref.getGradients();
+    velocity.resize(g.size(), 0.0);
+    for (std::size_t i = 0; i < g.size(); ++i) {
+      velocity[i] = 0.9 * velocity[i] + g[i];
+      g[i] = velocity[i];
+    }
+    ref.addToParameters(g, -0.05);
+    ref.zeroGrad();
+    ASSERT_EQ(bitsOf(fused.getParameters()), bitsOf(ref.getParameters()));
+    for (double gi : fused.getGradients()) ASSERT_EQ(gi, 0.0);
+  }
 }
 
 TEST(Mlp, ClipGradNorm) {
