@@ -97,39 +97,15 @@ void EvalEngine::attachSharedCache(std::shared_ptr<SharedEvalCache> shared,
   unpublished_.clear();
 }
 
-std::size_t EvalEngine::publishShared() {
-  if (shared_ == nullptr) return 0;
-  std::size_t published = 0;
-  for (const EvalKey& key : unpublished_) {
-    if (const core::EvalResult* r = cache_.find(key)) {
-      shared_->insert(sharedScope_, key, *r);
-      ++published;
-    }
-  }
-  unpublished_.clear();
-  return published;
-}
-
-std::vector<std::pair<EvalKey, core::EvalResult>>
-EvalEngine::drainPublishJournal() {
-  std::vector<std::pair<EvalKey, core::EvalResult>> out;
-  if (shared_ == nullptr) return out;
+std::vector<PublishEntry> EvalEngine::drainPublishJournal() {
+  std::vector<PublishEntry> out;
   out.reserve(unpublished_.size());
-  // Mirror publishShared() exactly: only keys still present in the local
-  // memo ship (an entry could in principle have been evicted), in journal
-  // order, so the coordinator-side inserts reproduce publishShared()'s
-  // insert sequence and count bitwise.
-  for (const EvalKey& key : unpublished_) {
-    if (const core::EvalResult* r = cache_.find(key)) out.emplace_back(key, *r);
-  }
+  // Only keys still present in the local memo ship, in journal order, so
+  // every publisher inserts the same sequence whatever process applies it.
+  for (const EvalKey& key : unpublished_)
+    if (const core::EvalResult* r = cache_.find(key)) out.push_back({key, *r});
   unpublished_.clear();
   return out;
-}
-
-void EvalEngine::setBackend(std::shared_ptr<const EvalBackend> backend) {
-  if (backend == nullptr)
-    throw std::invalid_argument("EvalEngine::setBackend: null backend");
-  backend_ = std::move(backend);
 }
 
 void EvalEngine::saveState(io::SectionWriter& w) const {
@@ -522,89 +498,6 @@ std::vector<core::EvalResult> EvalEngine::evalBatch(
     }
     accountRequest(cornerIdx[i], kind, results[i], cached,
                    sharedFlags_[i] != 0, isMiss, trace);
-  }
-  return results;
-}
-
-std::vector<core::EvalResult> EvalEngine::evalPacked(
-    const std::vector<linalg::Vector>& points,
-    const std::vector<std::size_t>& cornerIdx, pvt::BlockKind kind) {
-  const std::size_t np = points.size();
-  const std::size_t nc = cornerIdx.size();
-  std::vector<core::EvalResult> results(np * nc);
-  if (results.empty()) return results;
-
-  // Snap every point once up front; the snapped sizings and index lists live
-  // for the whole call because queued miss lanes point into them.
-  packSnaps_.resize(np);
-  packKeys_.resize(np);
-  for (std::size_t p = 0; p < np; ++p) {
-    prepareKey(points[p]);
-    packSnaps_[p] = snapScratch_;
-    packKeys_[p].indices = keyScratch_.indices;
-  }
-
-  // ---- Probe the memos serially, point-major — the same request order the
-  // equivalent sequence of evalBatch calls would account in.
-  missRefs_.clear();
-  hitFlags_.assign(results.size(), 0);
-  sharedFlags_.assign(results.size(), 0);
-  dupOf_.assign(results.size(), kNone);
-  for (std::size_t p = 0; p < np; ++p) {
-    EvalKey& key = packKeys_[p];
-    for (std::size_t c = 0; c < nc; ++c) {
-      const std::size_t slot = p * nc + c;
-      if (config_.cacheEvals) {
-        key.cornerIndex = cornerIdx[c];
-        if (const core::EvalResult* hit = cache_.find(key)) {
-          results[slot] = *hit;
-          hitFlags_[slot] = 1;
-          continue;
-        }
-        if (shared_ != nullptr &&
-            shared_->find(sharedScope_, key, results[slot])) {
-          cache_.insert({key.indices, cornerIdx[c]}, results[slot]);
-          hitFlags_[slot] = 1;
-          sharedFlags_[slot] = 1;
-          continue;
-        }
-        // In-call duplicate: same snapped grid cell and corner as an earlier
-        // queued miss (points from different raw sizings can snap together).
-        for (const MissRef& m : missRefs_) {
-          if (m.cornerIndex == cornerIdx[c] && *m.indices == key.indices) {
-            dupOf_[slot] = m.slot;
-            break;
-          }
-        }
-        if (dupOf_[slot] != kNone) continue;
-      }
-      missRefs_.push_back(
-          {slot, &packSnaps_[p], &packKeys_[p].indices, cornerIdx[c]});
-    }
-  }
-
-  // ---- One fused dispatch over every queued miss: lanes pack densely
-  // across points, so per-point ragged tails stop wasting simulator lanes.
-  dispatchMisses(results);
-
-  // ---- Merge and account in flat slot order (= point-major request order).
-  std::size_t cursor = 0;
-  for (std::size_t slot = 0; slot < results.size(); ++slot) {
-    const bool isMiss =
-        cursor < missRefs_.size() && missRefs_[cursor].slot == slot;
-    const MissTrace trace = isMiss ? missTrace_[cursor++] : MissTrace{};
-    const std::size_t corner = cornerIdx[slot % nc];
-    if (dupOf_[slot] != kNone) results[slot] = results[dupOf_[slot]];
-    const bool failed = results[slot].failure != sim::FaultClass::kNone;
-    const bool cached =
-        !failed && (hitFlags_[slot] != 0 || dupOf_[slot] != kNone);
-    if (config_.cacheEvals && isMiss && !failed) {
-      cache_.insert({packKeys_[slot / nc].indices, corner}, results[slot]);
-      if (shared_ != nullptr)
-        unpublished_.push_back({packKeys_[slot / nc].indices, corner});
-    }
-    accountRequest(corner, kind, results[slot], cached,
-                   sharedFlags_[slot] != 0, isMiss, trace);
   }
   return results;
 }

@@ -184,21 +184,6 @@ class EvalEngine {
       const std::vector<std::size_t>& cornerIdx, const linalg::Vector& sizes,
       pvt::BlockKind kind);
 
-  /// Evaluate `points.size()` sizings on each corner of `cornerIdx` as one
-  /// fused batch; slot `p * cornerIdx.size() + c` of the returned vector is
-  /// point p on corner cornerIdx[c]. Misses from *all* points pack into
-  /// consecutive simulator lanes, so per-point ragged tails (e.g. 9 corners
-  /// on a 4-lane backend) stop wasting lanes once several points are in
-  /// flight. Per-slot results are bitwise identical to the equivalent
-  /// sequence of evalBatch calls (the backend batch contract is per-slot),
-  /// and so is the accounting, with one documented exception: this is ONE
-  /// batch, so a duplicate (snapped point, corner) key across points
-  /// simulates once and the later slot accounts as cached — exactly the
-  /// in-batch duplicate rule evalBatch already applies within a call.
-  std::vector<core::EvalResult> evalPacked(
-      const std::vector<linalg::Vector>& points,
-      const std::vector<std::size_t>& cornerIdx, pvt::BlockKind kind);
-
   /// Single-request path (the LocalExplorer / SizingEnv per-step hot path):
   /// same semantics as a one-element evalBatch, but evaluates inline on the
   /// calling thread and reuses member scratch, so a steady-state cache hit
@@ -233,15 +218,6 @@ class EvalEngine {
   /// Distinct (point, corner) results memoized so far.
   std::size_t cacheSize() const { return cache_.size(); }
   const EvalBackend& backend() const { return *backend_; }
-  /// Owning handle to the backend (decorators wrap it; see setBackend).
-  std::shared_ptr<const EvalBackend> backendPtr() const { return backend_; }
-  /// Swap the backend for a decorator that is bitwise-equivalent by contract
-  /// — the distributed chunk-offload shim wraps backendPtr() and routes
-  /// batches to idle workers, falling back to the wrapped backend locally.
-  /// The caller owns the equivalence claim; a decorator that changed results
-  /// would break every determinism guarantee downstream. Throws
-  /// std::invalid_argument on null.
-  void setBackend(std::shared_ptr<const EvalBackend> backend);
   const std::vector<sim::PvtCorner>& corners() const { return corners_; }
   const EvalEngineConfig& config() const { return config_; }
 
@@ -256,9 +232,10 @@ class EvalEngine {
   /// memo miss the engine probes the shared cache; a shared hit costs zero
   /// EDA blocks and is tallied in EvalStats::sharedHits (the ledger block is
   /// flagged `cached`). Freshly simulated results are journaled and only
-  /// enter the shared cache on publishShared() — the orch::Scheduler calls
-  /// it at round barriers, in job order, which is what makes per-job shared
-  /// hit/miss accounting independent of scheduler thread count.
+  /// enter the shared cache when the scheduler drains them
+  /// (drainPublishJournal) and publishes them at a round barrier, in job
+  /// order — which is what makes per-job shared hit/miss accounting
+  /// independent of scheduler thread and worker count.
   /// Must be called before the first request, on an engine with cacheEvals
   /// on (the local memo backs the journal); throws std::logic_error
   /// otherwise.
@@ -266,16 +243,12 @@ class EvalEngine {
                          std::string_view scope);
   /// Whether a shared cache is attached.
   bool hasSharedCache() const { return shared_ != nullptr; }
-  /// Flush results simulated since the last publish into the shared cache
-  /// (no-op without one attached); returns the number of entries published.
-  std::size_t publishShared();
-  /// Distributed sibling of publishShared(): return the (key, result) pairs
-  /// publishShared() would insert — same filtering, same order — clearing
-  /// the journal without touching the attached cache. The coordinator of a
-  /// multi-process run ships these to the master cache and applies them at
-  /// the round barrier in job-index order, which is what keeps worker-count
-  /// N bitwise identical to the in-process path.
-  std::vector<std::pair<EvalKey, core::EvalResult>> drainPublishJournal();
+  /// Return the results simulated since the last drain, in journal order,
+  /// and clear the journal (empty without a shared cache attached). Both
+  /// schedulers hand the list to orch::applyRoundBarrier, which publishes it
+  /// (SharedEvalCache::publish) in job-index order; the multi-process
+  /// coordinator receives it over the wire first.
+  std::vector<PublishEntry> drainPublishJournal();
 
   /// Serialize the engine's durable state — memo contents, ledger timeline,
   /// stats counters — into a checkpoint section. Cache entries are emitted
@@ -300,7 +273,7 @@ class EvalEngine {
   /// Optional cross-job cache; nullptr for the common single-search case.
   std::shared_ptr<SharedEvalCache> shared_;
   std::size_t sharedScope_ = 0;
-  /// Keys simulated since the last publishShared() (empty without shared_).
+  /// Keys simulated since the last drain (empty without shared_).
   std::vector<EvalKey> unpublished_;
 
   /// Snap `sizes` onto the grid into snapScratch_ and fill
@@ -316,8 +289,8 @@ class EvalEngine {
 
   /// One queued simulation: where its result lands (flat slot) and the full
   /// request identity. `sizes`/`indices` point into per-call storage
-  /// (snapScratch_/keyScratch_ or packSnaps_/packKeys_) that stays frozen
-  /// through the parallel section.
+  /// (snapScratch_/keyScratch_) that stays frozen through the parallel
+  /// section.
   struct MissRef {
     std::size_t slot = 0;  ///< index into the flat result array
     const linalg::Vector* sizes = nullptr;
@@ -372,8 +345,6 @@ class EvalEngine {
   std::vector<char> hitFlags_;          ///< request served from the memo
   std::vector<char> sharedFlags_;       ///< ... specifically the shared cache
   std::vector<std::size_t> dupOf_;      ///< in-batch duplicate -> first miss
-  std::vector<linalg::Vector> packSnaps_;  ///< evalPacked per-point sizings
-  std::vector<EvalKey> packKeys_;          ///< evalPacked per-point indices
   sim::SimPhaseTotals phaseBase_;  ///< phase counters at the last harvest
 };
 

@@ -72,6 +72,13 @@ void SharedEvalCache::insert(std::size_t scope, const EvalKey& key,
   shard.map.insert_or_assign(std::move(sk), std::move(result));
 }
 
+std::size_t SharedEvalCache::publish(std::string_view scope,
+                                     const std::vector<PublishEntry>& entries) {
+  const std::size_t id = scopeId(scope);
+  for (const PublishEntry& e : entries) insert(id, e.key, e.result);
+  return entries.size();
+}
+
 std::size_t SharedEvalCache::size() const {
   std::size_t n = 0;
   for (const Shard& s : shards_) {

@@ -14,8 +14,8 @@
 //
 // Determinism contract (docs/ORCHESTRATION.md): the cache itself is a plain
 // concurrent map — *when* an entry becomes visible is up to the caller. The
-// orch::Scheduler only inserts at round barriers (EvalEngine::publishShared,
-// in job order), so lookups during a round see a state that depends on the
+// schedulers only insert at round barriers (orch::applyRoundBarrier, in job
+// order), so lookups during a round see a state that depends on the
 // round number alone, never on thread interleaving; per-job hit/miss
 // accounting is then bitwise identical for any scheduler thread count.
 // Backends are pure, so a served entry is bitwise identical to re-simulating.
@@ -37,6 +37,13 @@ class SectionWriter;
 }  // namespace trdse::io
 
 namespace trdse::eval {
+
+/// One freshly simulated (key, result) pair awaiting publication — an entry
+/// of an engine's publish journal (EvalEngine::drainPublishJournal).
+struct PublishEntry {
+  EvalKey key;
+  core::EvalResult result;
+};
 
 /// Sharded (striped-mutex) cross-job memo: (scope, EvalKey) -> EvalResult.
 class SharedEvalCache {
@@ -66,6 +73,10 @@ class SharedEvalCache {
   /// std::invalid_argument — one job's fault must never become another job's
   /// "cached" truth, even if an engine-side guard regresses.
   void insert(std::size_t scope, const EvalKey& key, core::EvalResult result);
+  /// Insert every entry under `scope`, in order; returns entries.size().
+  /// The round barrier's publish step and the workers' mirror sync.
+  std::size_t publish(std::string_view scope,
+                      const std::vector<PublishEntry>& entries);
 
   /// Number of stripes (power of two).
   std::size_t shardCount() const { return shards_.size(); }

@@ -143,6 +143,14 @@ std::string SectionReader::str() {
   return s;
 }
 
+std::uint64_t SectionReader::count(std::size_t minItemBytes) {
+  const std::uint64_t n = u64();
+  if (minItemBytes != 0 && n > remaining() / minItemBytes)
+    fail("element count " + std::to_string(n) + " cannot fit in the " +
+         std::to_string(remaining()) + " bytes left");
+  return n;
+}
+
 std::string SectionReader::raw(std::size_t n) {
   need(n);
   std::string s(bytes_.data() + pos_, n);
@@ -265,6 +273,10 @@ CheckpointReader::CheckpointReader(std::string source, const std::string& blob)
   try {
     kind_ = r.str();
     const std::uint32_t count = r.u32();
+    // Each table entry takes at least a name length and a size (16 bytes).
+    if (count > r.remaining() / 16)
+      r.fail("section count " + std::to_string(count) + " cannot fit in the " +
+             std::to_string(r.remaining()) + " bytes left");
     std::vector<std::pair<std::string, std::uint64_t>> table;
     table.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {

@@ -117,6 +117,10 @@ class SectionReader {
   linalg::Vector vec();
   /// Length-prefixed vector of u64.
   std::vector<std::size_t> indexVec();
+  /// A u64 element count, rejected unless that many elements of at least
+  /// `minItemBytes` each could still fit in the section — so a corrupt count
+  /// fails here, typed, instead of driving a reserve() into bad_alloc.
+  std::uint64_t count(std::size_t minItemBytes);
 
   /// Bytes not yet consumed.
   std::size_t remaining() const { return bytes_.size() - pos_; }

@@ -167,7 +167,7 @@ void readSurrogate(SectionReader& r, core::SpiceSurrogate& s) {
   readAdam(r, s.optimizer(), s.network().parameterCount());
   readStandardizer(r, s.inputScaler());
   readStandardizer(r, s.outputScaler());
-  const std::uint64_t n = r.u64();
+  const std::uint64_t n = r.count(2 * 8);  // two length-prefixed vectors
   std::vector<linalg::Vector> inputs;
   std::vector<linalg::Vector> targets;
   inputs.reserve(n);
@@ -193,7 +193,8 @@ void writeLedger(SectionWriter& w, const pvt::EdaLedger& ledger) {
 }
 
 void readLedger(SectionReader& r, pvt::EdaLedger& ledger) {
-  const std::uint64_t n = r.u64();
+  // Smallest (version-1) block: corner, kind, meetsSpec, cached.
+  const std::uint64_t n = r.count(8 + 1 + 1 + 1);
   std::vector<pvt::EdaBlock> blocks;
   blocks.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {

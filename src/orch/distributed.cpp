@@ -14,12 +14,11 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <mutex>
 #include <stdexcept>
 #include <utility>
 
 #include "common/thread_pool.hpp"
-#include "io/state_io.hpp"
+#include "orch/barrier.hpp"
 #include "orch/journal.hpp"
 
 namespace trdse::orch {
@@ -27,139 +26,6 @@ namespace trdse::orch {
 namespace {
 
 using wire::WireError;
-
-// ---- Chunk payload codec -------------------------------------------------
-//
-// An offloaded eval-batch chunk: one sizing, `count` lanes of (corner,
-// request identity). The identity tuple travels so the executor's fault
-// decorator sees exactly what the local path would have — offload on/off is
-// bitwise invisible.
-
-struct ChunkPayload {
-  std::size_t jobIndex = 0;
-  linalg::Vector sizes;
-  std::vector<sim::PvtCorner> corners;
-  std::vector<std::vector<std::size_t>> indices;  // per lane (may be empty)
-  std::vector<std::size_t> cornerIndex;
-  std::vector<std::size_t> attempt;
-
-  std::size_t count() const { return corners.size(); }
-};
-
-void writeChunk(io::SectionWriter& w, std::size_t jobIndex,
-                const linalg::Vector& sizes, const sim::PvtCorner* corners,
-                const eval::EvalContext* contexts, std::size_t count) {
-  w.u64(jobIndex);
-  w.vec(sizes);
-  w.u64(count);
-  static const std::vector<std::size_t> kNoIndices;
-  for (std::size_t i = 0; i < count; ++i) {
-    w.u8(static_cast<std::uint8_t>(corners[i].corner));
-    w.f64(corners[i].vdd);
-    w.f64(corners[i].tempC);
-    w.u64(contexts[i].cornerIndex);
-    w.indexVec(contexts[i].indices != nullptr ? *contexts[i].indices
-                                              : kNoIndices);
-    w.u64(contexts[i].attempt);
-  }
-}
-
-void writeChunk(io::SectionWriter& w, const ChunkPayload& p) {
-  w.u64(p.jobIndex);
-  w.vec(p.sizes);
-  w.u64(p.count());
-  for (std::size_t i = 0; i < p.count(); ++i) {
-    w.u8(static_cast<std::uint8_t>(p.corners[i].corner));
-    w.f64(p.corners[i].vdd);
-    w.f64(p.corners[i].tempC);
-    w.u64(p.cornerIndex[i]);
-    w.indexVec(p.indices[i]);
-    w.u64(p.attempt[i]);
-  }
-}
-
-ChunkPayload readChunk(io::SectionReader& r) {
-  ChunkPayload p;
-  p.jobIndex = r.u64();
-  p.sizes = r.vec();
-  const std::uint64_t n = r.u64();
-  p.corners.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    sim::PvtCorner c;
-    const std::uint8_t pc = r.u8();
-    if (pc > static_cast<std::uint8_t>(sim::ProcessCorner::kSF))
-      r.fail("unknown process corner " + std::to_string(pc));
-    c.corner = static_cast<sim::ProcessCorner>(pc);
-    c.vdd = r.f64();
-    c.tempC = r.f64();
-    p.corners.push_back(c);
-    p.cornerIndex.push_back(r.u64());
-    p.indices.push_back(r.indexVec());
-    p.attempt.push_back(r.u64());
-  }
-  return p;
-}
-
-// ---- Chunk-offload backend decorator -------------------------------------
-
-/// Wraps an owned job's (fault-injected) backend inside a worker process.
-/// Corner-batches first try the offload hook — ship the chunk to an idle
-/// peer via the coordinator — and fall back to the wrapped backend when no
-/// peer is free. The executor runs the byte-identical inherited backend on
-/// the same (sizes, corner, identity) inputs, so both paths produce the same
-/// bits (the EvalEngine::setBackend equivalence contract). Scalar calls
-/// never offload: a one-lane round trip could never pay for its frames.
-class ChunkOffloadBackend final : public eval::EvalBackend {
- public:
-  using OffloadFn = std::function<bool(
-      std::size_t jobIndex, const linalg::Vector& sizes,
-      const sim::PvtCorner* corners, const eval::EvalContext* contexts,
-      core::EvalResult* results, std::size_t count)>;
-
-  ChunkOffloadBackend(std::shared_ptr<const eval::EvalBackend> inner,
-                      std::size_t jobIndex, OffloadFn offload)
-      : inner_(std::move(inner)),
-        jobIndex_(jobIndex),
-        offload_(std::move(offload)) {}
-
-  std::string_view name() const override { return inner_->name(); }
-
-  core::EvalResult evaluate(const linalg::Vector& sizes,
-                            const sim::PvtCorner& corner) const override {
-    return inner_->evaluate(sizes, corner);
-  }
-
-  core::EvalResult evaluate(const linalg::Vector& sizes,
-                            const sim::PvtCorner& corner,
-                            const eval::EvalContext& context) const override {
-    return inner_->evaluate(sizes, corner, context);
-  }
-
-  std::size_t batchWidth() const override { return inner_->batchWidth(); }
-
-  void evaluateBatch(const linalg::Vector* const* sizes,
-                     const sim::PvtCorner* corners,
-                     const eval::EvalContext* contexts,
-                     core::EvalResult* results,
-                     std::size_t count) const override {
-    // The chunk wire format carries one sizing per chunk, so only
-    // homogeneous chunks offload. The engine hands every slot of a
-    // single-request batch the same pointer; packed mixed-sizing chunks
-    // (different pointers) simply run locally.
-    bool homogeneous = count >= 2;
-    for (std::size_t i = 1; homogeneous && i < count; ++i)
-      homogeneous = sizes[i] == sizes[0];
-    if (homogeneous &&
-        offload_(jobIndex_, *sizes[0], corners, contexts, results, count))
-      return;
-    inner_->evaluateBatch(sizes, corners, contexts, results, count);
-  }
-
- private:
-  std::shared_ptr<const eval::EvalBackend> inner_;
-  std::size_t jobIndex_;
-  OffloadFn offload_;
-};
 
 // ---- Worker process ------------------------------------------------------
 
@@ -187,68 +53,9 @@ class ChunkOffloadBackend final : public eval::EvalBackend {
       }
     }
 
-    // Every worker inherited every job's backend, so any worker can execute
-    // any job's chunk. Capture the inner (fault-injected) backends *before*
-    // wrapping our own jobs in the offload decorator.
-    std::vector<std::shared_ptr<const eval::EvalBackend>> execBackends;
-    execBackends.reserve(jobs.size());
-    for (BuiltJob& job : jobs)
-      execBackends.push_back(job.strategy->engine().backendPtr());
-
-    std::mutex offloadMu;  // one offload in flight per worker
-    if (scenario.offloadChunks) {
-      for (const std::size_t i : owned) {
-        eval::EvalEngine& eng = jobs[i].strategy->engine();
-        ChunkOffloadBackend::OffloadFn offload =
-            [&ch, &offloadMu, &src, workerIndex](
-                std::size_t jobIndex, const linalg::Vector& sizes,
-                const sim::PvtCorner* corners,
-                const eval::EvalContext* contexts, core::EvalResult* results,
-                std::size_t count) -> bool {
-          std::unique_lock<std::mutex> lk(offloadMu, std::try_to_lock);
-          if (!lk.owns_lock()) return false;  // a sibling thread is offloading
-          try {
-            io::CheckpointWriter req = wire::makeMessage(wire::kMsgChunkRequest);
-            writeChunk(req.section("chunk"), jobIndex, sizes, corners,
-                       contexts, count);
-            ch.send(req);
-            const io::CheckpointReader reply =
-                ch.recv(src + " (chunk reply)");
-            if (reply.kind() != wire::kMsgChunkReply)
-              throw WireError(src + ": expected chunk reply, got \"" +
-                              reply.kind() + "\"");
-            io::SectionReader cr = reply.section("chunk");
-            const bool granted = cr.boolean();
-            if (!granted) {
-              cr.expectEnd();
-              return false;  // no idle peer — compute locally
-            }
-            const std::uint64_t m = cr.u64();
-            if (m != count)
-              cr.fail("chunk reply carries " + std::to_string(m) +
-                      " results for a " + std::to_string(count) +
-                      "-lane request");
-            for (std::size_t k = 0; k < count; ++k)
-              results[k] = io::readEvalResult(cr);
-            cr.expectEnd();
-            return true;
-          } catch (const std::exception& e) {
-            // A broken offload round trip means the channel state is
-            // unknowable — die loudly; the coordinator respawns us and
-            // re-dispatches the round.
-            std::fprintf(stderr, "trdse worker %zu: offload failed: %s\n",
-                         workerIndex, e.what());
-            std::_Exit(1);
-          }
-        };
-        eng.setBackend(std::make_shared<ChunkOffloadBackend>(
-            eng.backendPtr(), i, std::move(offload)));
-      }
-    }
-
     common::ThreadPool pool(scenario.threads);
     std::vector<std::size_t> grantJobs, grantTargets;
-    std::vector<std::string> stepErrors(jobs.size());
+    std::vector<wire::JobRoundReport> reports;
 
     for (;;) {
       const io::CheckpointReader msg = ch.recv(src);
@@ -272,18 +79,11 @@ class ChunkOffloadBackend final : public eval::EvalBackend {
         // at the most adversarial instant — round received, nothing stepped.
         if (die) std::_Exit(137);
 
+        reports.resize(grantJobs.size());
         pool.parallelFor(grantJobs.size(), [&](std::size_t k) {
           BuiltJob& job = jobs.at(grantJobs[k]);
           job.granted = grantTargets[k];
-          stepErrors[grantJobs[k]].clear();
-          try {
-            job.strategy->step(job.granted);
-          } catch (const std::exception& e) {
-            stepErrors[grantJobs[k]] =
-                e.what()[0] != '\0' ? e.what() : "unknown error";
-          } catch (...) {
-            stepErrors[grantJobs[k]] = "non-standard exception";
-          }
+          reports[k] = stepJob(job, grantJobs[k]);
         });
 
         io::CheckpointWriter out = wire::makeMessage(wire::kMsgRoundResult);
@@ -291,24 +91,10 @@ class ChunkOffloadBackend final : public eval::EvalBackend {
         io::SectionWriter& js = out.section("jobs");
         js.u64(grantJobs.size());
         for (std::size_t k = 0; k < grantJobs.size(); ++k) {
-          const std::size_t i = grantJobs[k];
-          BuiltJob& job = jobs[i];
-          wire::JobRoundReport rep;
-          rep.jobIndex = i;
-          rep.stepError = stepErrors[i];
-          rep.finished = job.strategy->finished();
-          rep.iterations = job.strategy->outcome().iterations;
-          rep.stats = job.strategy->engine().stats();
-          rep.firstFailure = job.strategy->engine().firstFailure();
-          if (rep.stepError.empty()) {
-            // A job whose step threw keeps its journal unpublished — exactly
-            // the in-process barrier's skip (it quarantines and never steps
-            // again, so those entries never surface there either).
-            auto pubs = job.strategy->engine().drainPublishJournal();
-            rep.publishes.reserve(pubs.size());
-            for (auto& [key, res] : pubs)
-              rep.publishes.push_back({std::move(key), std::move(res)});
-          }
+          // Moved out so each blob is freed once written: only the frame
+          // holds every job's snapshot at once.
+          wire::JobRoundReport rep = std::move(reports[k]);
+          const BuiltJob& job = jobs[grantJobs[k]];
           if (job.strategy->supportsCheckpoint())
             rep.strategyBlob = job.strategy->saveCheckpointBlob();
           wire::writeJobRoundReport(js, rep);
@@ -334,12 +120,10 @@ class ChunkOffloadBackend final : public eval::EvalBackend {
         const std::uint64_t m = pb.u64();
         for (std::uint64_t k = 0; k < m; ++k) {
           const std::size_t jobIndex = pb.u64();
-          std::vector<wire::PublishEntry> entries = wire::readPublishes(pb);
-          if (mirror != nullptr) {
-            const std::size_t scope = mirror->scopeId(jobs.at(jobIndex).scope);
-            for (wire::PublishEntry& e : entries)
-              mirror->insert(scope, e.key, std::move(e.result));
-          }
+          const std::vector<wire::PublishEntry> entries =
+              wire::readPublishes(pb);
+          if (mirror != nullptr)
+            mirror->publish(jobs.at(jobIndex).scope, entries);
         }
         pb.expectEnd();
         io::SectionReader cp = msg.section("checkpoints");
@@ -377,29 +161,6 @@ class ChunkOffloadBackend final : public eval::EvalBackend {
           h.engineStats = jobs[i].strategy->engine().stats();
           wire::writeJobHarvest(js, h);
         }
-        ch.send(out);
-        continue;
-      }
-
-      if (kind == wire::kMsgChunkExec) {
-        io::SectionReader r = msg.section("chunk");
-        ChunkPayload p = readChunk(r);
-        r.expectEnd();
-        const std::size_t count = p.count();
-        std::vector<eval::EvalContext> ctxs(count);
-        std::vector<const linalg::Vector*> sz(count, &p.sizes);
-        std::vector<core::EvalResult> results(count);
-        for (std::size_t k = 0; k < count; ++k)
-          ctxs[k] = {&p.indices[k], p.cornerIndex[k], p.attempt[k]};
-        execBackends.at(p.jobIndex)
-            ->evaluateBatch(sz.data(), p.corners.data(), ctxs.data(),
-                            results.data(), count);
-        io::CheckpointWriter out = wire::makeMessage(wire::kMsgChunkReply);
-        io::SectionWriter& cw = out.section("chunk");
-        cw.boolean(true);
-        cw.u64(count);
-        for (const core::EvalResult& res : results)
-          io::writeEvalResult(cw, res);
         ch.send(out);
         continue;
       }
@@ -472,14 +233,8 @@ DistributedScheduler::DistributedScheduler(Scenario scenario) {
     reports_[i % n].jobs.push_back(jobs_[i].spec.name);
   }
   lastBlobs_.resize(jobs_.size());
-  finished_.assign(jobs_.size(), 0);
-  iterations_.assign(jobs_.size(), 0);
   roundReports_.resize(jobs_.size());
   haveReport_.assign(jobs_.size(), 0);
-  for (std::size_t i = 0; i < jobs_.size(); ++i) {
-    finished_[i] = jobs_[i].strategy->finished() ? 1 : 0;
-    iterations_[i] = jobs_[i].strategy->outcome().iterations;
-  }
 }
 
 DistributedScheduler::~DistributedScheduler() {
@@ -527,7 +282,6 @@ void DistributedScheduler::spawnWorker(std::size_t w) {
   slot.pid = pid;
   slot.ch = wire::FrameChannel(fds[0]);
   slot.stepping = false;
-  slot.chunkBusy = false;
 }
 
 void DistributedScheduler::forkWorkers() {
@@ -559,11 +313,6 @@ void DistributedScheduler::respawnWorker(std::size_t w,
     slot.pid = -1;
   }
   slot.ch.close();
-  // Orphan any chunk this worker's death strands: a peer executing on its
-  // behalf reports to a requester that no longer exists.
-  for (WorkerSlot& other : workers_)
-    if (other.chunkBusy && other.chunkRequester == w)
-      other.chunkRequester = static_cast<std::size_t>(-1);
 
   const bool wasStepping = slot.stepping;
   events_.push_back("round " + std::to_string(round_) + ": worker " +
@@ -613,13 +362,13 @@ void DistributedScheduler::dispatchRound(std::size_t w) {
       break;
     }
   r.boolean(die);
-  std::vector<std::pair<std::size_t, std::size_t>> mine;
-  for (const auto& [i, granted] : grants_)
-    if (workerOf(i) == w) mine.emplace_back(i, granted);
+  std::vector<std::size_t> mine;
+  for (const std::size_t i : runnable_)
+    if (workerOf(i) == w) mine.push_back(i);
   r.u64(mine.size());
-  for (const auto& [i, granted] : mine) {
+  for (const std::size_t i : mine) {
     r.u64(i);
-    r.u64(granted);
+    r.u64(jobs_[i].granted);
   }
   slot.stepping = true;
   if (scenario_.workerTimeoutSeconds > 0.0)
@@ -636,63 +385,23 @@ void DistributedScheduler::dispatchRound(std::size_t w) {
   }
 }
 
-void DistributedScheduler::handleChunkRequest(std::size_t from,
-                                              io::CheckpointReader msg) {
-  io::SectionReader r = msg.section("chunk");
-  ChunkPayload p = readChunk(r);
-  r.expectEnd();
-
-  std::size_t exec = workers_.size();
-  for (std::size_t w = 0; w < workers_.size(); ++w)
-    if (w != from && workers_[w].pid >= 0 && !workers_[w].stepping &&
-        !workers_[w].chunkBusy) {
-      exec = w;
-      break;
-    }
-  if (exec < workers_.size()) {
-    io::CheckpointWriter fwd = wire::makeMessage(wire::kMsgChunkExec);
-    writeChunk(fwd.section("chunk"), p);
-    try {
-      workers_[exec].ch.send(fwd);
-      workers_[exec].chunkBusy = true;
-      workers_[exec].chunkRequester = from;
-      return;
-    } catch (const WireError&) {
-      respawnWorker(exec, "died while idle (chunk dispatch)");
-      // fall through to a denial — the requester computes locally
-    }
-  }
-  io::CheckpointWriter deny = wire::makeMessage(wire::kMsgChunkReply);
-  deny.section("chunk").boolean(false);
-  try {
-    workers_[from].ch.send(deny);
-  } catch (const WireError& e) {
-    respawnWorker(from, std::string("died awaiting a chunk reply (") +
-                            e.what() + ")");
-  }
-}
-
 void DistributedScheduler::collectRoundResults() {
   std::vector<pollfd> fds;
   std::vector<std::size_t> idx;
   for (;;) {
     fds.clear();
     idx.clear();
-    bool anyStepping = false;
     for (std::size_t w = 0; w < workers_.size(); ++w) {
-      const WorkerSlot& slot = workers_[w];
-      if (!slot.stepping && !slot.chunkBusy) continue;
-      anyStepping = anyStepping || slot.stepping;
-      fds.push_back({slot.ch.fd(), POLLIN, 0});
+      if (!workers_[w].stepping) continue;
+      fds.push_back({workers_[w].ch.fd(), POLLIN, 0});
       idx.push_back(w);
     }
-    if (!anyStepping) return;
+    if (fds.empty()) return;
 
     int timeoutMs = -1;
     const auto now = std::chrono::steady_clock::now();
     if (scenario_.workerTimeoutSeconds > 0.0) {
       for (const std::size_t w : idx) {
-        if (!workers_[w].stepping) continue;
         const auto remain = std::chrono::duration_cast<std::chrono::milliseconds>(
                                 workers_[w].deadline - now)
                                 .count();
@@ -723,75 +432,44 @@ void DistributedScheduler::collectRoundResults() {
       try {
         io::CheckpointReader msg =
             workers_[w].ch.recv("worker " + std::to_string(w));
-        const std::string kind = msg.kind();
-        if (kind == wire::kMsgRoundResult) {
-          io::SectionReader rr = msg.section("round");
-          const std::uint64_t round = rr.u64();
-          rr.expectEnd();
-          if (round != round_)
-            throw WireError("worker " + std::to_string(w) +
-                            " reported round " + std::to_string(round) +
-                            " during round " + std::to_string(round_));
-          io::SectionReader js = msg.section("jobs");
-          const std::uint64_t n = js.u64();
-          for (std::uint64_t j = 0; j < n; ++j) {
-            wire::JobRoundReport rep = wire::readJobRoundReport(js);
-            if (rep.jobIndex >= jobs_.size() || workerOf(rep.jobIndex) != w)
-              throw WireError("worker " + std::to_string(w) +
-                              " reported job index " +
-                              std::to_string(rep.jobIndex) +
-                              " it does not own");
-            const std::size_t ji = rep.jobIndex;
-            roundReports_[ji] = std::move(rep);
-            haveReport_[ji] = 1;
-          }
-          js.expectEnd();
-          io::SectionReader ds = msg.section("deltas");
-          const std::vector<wire::ShardDelta> deltas =
-              wire::readShardDeltas(ds);
-          ds.expectEnd();
-          // Merging on receipt is safe: sums commute, and a killed worker's
-          // partial round is never received, so each probe merges once.
-          for (const wire::ShardDelta& d : deltas) {
-            if (shared_ != nullptr) shared_->addProbes(d.shard, d.hits, d.misses);
-            reports_[w].sharedHits += d.hits;
-            reports_[w].sharedMisses += d.misses;
-          }
-          workers_[w].stepping = false;
-          workers_[w].consecutiveDeaths = 0;
-        } else if (kind == wire::kMsgChunkRequest) {
-          handleChunkRequest(w, std::move(msg));
-        } else if (kind == wire::kMsgChunkReply) {
-          // An executor finished a chunk: relay to the requester (or drop it
-          // if the requester died and was respawned meanwhile).
-          const std::size_t requester = workers_[w].chunkRequester;
-          workers_[w].chunkBusy = false;
-          if (requester < workers_.size()) {
-            io::SectionReader cr = msg.section("chunk");
-            io::CheckpointWriter fwd = wire::makeMessage(wire::kMsgChunkReply);
-            io::SectionWriter& cw = fwd.section("chunk");
-            const bool granted = cr.boolean();
-            cw.boolean(granted);
-            if (granted) {
-              const std::uint64_t m = cr.u64();
-              cw.u64(m);
-              for (std::uint64_t j = 0; j < m; ++j)
-                io::writeEvalResult(cw, io::readEvalResult(cr));
-            }
-            cr.expectEnd();
-            try {
-              workers_[requester].ch.send(fwd);
-            } catch (const WireError& e) {
-              respawnWorker(requester,
-                            std::string("died awaiting a chunk reply (") +
-                                e.what() + ")");
-            }
-          }
-        } else {
+        if (msg.kind() != wire::kMsgRoundResult)
           throw WireError("worker " + std::to_string(w) +
-                          ": unexpected message kind \"" + kind +
+                          ": unexpected message kind \"" + msg.kind() +
                           "\" during a round");
+        io::SectionReader rr = msg.section("round");
+        const std::uint64_t round = rr.u64();
+        rr.expectEnd();
+        if (round != round_)
+          throw WireError("worker " + std::to_string(w) +
+                          " reported round " + std::to_string(round) +
+                          " during round " + std::to_string(round_));
+        io::SectionReader js = msg.section("jobs");
+        const std::uint64_t n = js.u64();
+        for (std::uint64_t j = 0; j < n; ++j) {
+          wire::JobRoundReport rep = wire::readJobRoundReport(js);
+          if (rep.jobIndex >= jobs_.size() || workerOf(rep.jobIndex) != w)
+            throw WireError("worker " + std::to_string(w) +
+                            " reported job index " +
+                            std::to_string(rep.jobIndex) +
+                            " it does not own");
+          const std::size_t ji = rep.jobIndex;
+          roundReports_[ji] = std::move(rep);
+          haveReport_[ji] = 1;
         }
+        js.expectEnd();
+        io::SectionReader ds = msg.section("deltas");
+        const std::vector<wire::ShardDelta> deltas =
+            wire::readShardDeltas(ds);
+        ds.expectEnd();
+        // Merging on receipt is safe: sums commute, and a killed worker's
+        // partial round is never received, so each probe merges once.
+        for (const wire::ShardDelta& d : deltas) {
+          if (shared_ != nullptr) shared_->addProbes(d.shard, d.hits, d.misses);
+          reports_[w].sharedHits += d.hits;
+          reports_[w].sharedMisses += d.misses;
+        }
+        workers_[w].stepping = false;
+        workers_[w].consecutiveDeaths = 0;
       } catch (const WireError& e) {
         respawnWorker(w, std::string("died mid-round (") + e.what() + ")");
       } catch (const io::CheckpointError& e) {
@@ -808,26 +486,26 @@ void DistributedScheduler::broadcastBarrier(
   io::CheckpointWriter msg = wire::makeMessage(wire::kMsgBarrier);
   msg.section("round").u64(round_);
   io::SectionWriter& pb = msg.section("publishes");
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < jobs_.size(); ++i)
-    if (haveReport_[i] && roundReports_[i].stepError.empty() &&
+  // The publish lists applyRoundBarrier just inserted into the master, so
+  // every mirror ends the round holding the master's entries.
+  std::vector<std::size_t> publishing;
+  for (const std::size_t i : runnable_)
+    if (roundReports_[i].stepError.empty() &&
         !roundReports_[i].publishes.empty())
-      ++count;
-  pb.u64(count);
-  for (std::size_t i = 0; i < jobs_.size(); ++i) {
-    if (!haveReport_[i] || !roundReports_[i].stepError.empty() ||
-        roundReports_[i].publishes.empty())
-      continue;
+      publishing.push_back(i);
+  pb.u64(publishing.size());
+  for (const std::size_t i : publishing) {
     pb.u64(i);
     wire::writePublishes(pb, roundReports_[i].publishes);
   }
   msg.section("checkpoints").indexVec(checkpointJobs);
 
-  // Every worker gets the barrier (mirror sync keeps idle workers valid as
-  // chunk executors). A worker that dies here is respawned — its fresh fork
-  // image already contains this barrier's master inserts — and the barrier
-  // is re-sent so instructed periodic checkpoints still get written
-  // (mirror re-inserts are idempotent).
+  // Every worker gets the barrier, idle ones included, so a job's mirror is
+  // current whichever worker steps it after a respawn. A worker that dies
+  // here is respawned — its fresh fork image already contains this
+  // barrier's master inserts — and the barrier is re-sent so instructed
+  // periodic checkpoints still get written (mirror re-inserts are
+  // idempotent).
   for (std::size_t w = 0; w < workers_.size(); ++w) {
     for (;;) {
       try {
@@ -845,18 +523,8 @@ void DistributedScheduler::writeJournalFile() const {
   JournalState state;
   state.round = round_;
   state.jobs.reserve(jobs_.size());
-  for (std::size_t i = 0; i < jobs_.size(); ++i) {
-    const BuiltJob& job = jobs_[i];
-    JournalJobState js;
-    js.granted = job.granted;
-    js.rounds = job.result.rounds;
-    js.published = job.result.published;
-    js.checkpoints = job.result.checkpoints;
-    js.quarantined = job.result.quarantined;
-    js.quarantineReason = job.result.quarantineReason;
-    js.strategyBlob = lastBlobs_[i];
-    state.jobs.push_back(std::move(js));
-  }
+  for (std::size_t i = 0; i < jobs_.size(); ++i)
+    state.jobs.push_back(journalRow(jobs_[i], lastBlobs_[i]));
   writeJournal(scenario_.journalPath, scenario_, state, shared_.get(),
                events_);
 }
@@ -870,112 +538,39 @@ std::vector<JobResult> DistributedScheduler::run(std::size_t maxRounds) {
   if (!forked_) forkWorkers();
 
   const bool journaling = !scenario_.journalPath.empty();
-  std::vector<std::size_t> runnable;
-  runnable.reserve(jobs_.size());
-  std::vector<std::size_t> beforeIters(jobs_.size(), 0);
   std::size_t roundsThisCall = 0;
 
   while (maxRounds == 0 || roundsThisCall < maxRounds) {
-    runnable.clear();
-    for (std::size_t i = 0; i < jobs_.size(); ++i)
-      if (!jobs_[i].result.quarantined && !finished_[i]) runnable.push_back(i);
-    if (runnable.empty()) {
+    // Grants are computed here, with the in-process Scheduler's grantRound —
+    // worker timing can never bend a budget sequence.
+    runnable_ = grantRound(jobs_, scenario_.slice);
+    if (runnable_.empty()) {
       completed_ = true;
       break;
     }
     ++round_;
     ++roundsThisCall;
 
-    // Grants use the Scheduler's exact round-robin formula, computed here —
-    // worker timing can never bend a budget sequence.
-    grants_.clear();
-    for (const std::size_t i : runnable) {
-      beforeIters[i] = iterations_[i];
-      haveReport_[i] = 0;
-      jobs_[i].granted =
-          std::min(jobs_[i].spec.budget, jobs_[i].granted + scenario_.slice);
-      grants_.emplace_back(i, jobs_[i].granted);
-    }
-    for (std::size_t w = 0; w < workers_.size(); ++w) {
-      bool has = false;
-      for (const auto& [i, granted] : grants_)
-        if (workerOf(i) == w) {
-          has = true;
-          break;
-        }
-      if (has) dispatchRound(w);
-    }
+    for (const std::size_t i : runnable_) haveReport_[i] = 0;
+    for (std::size_t w = 0; w < workers_.size(); ++w)
+      if (std::any_of(runnable_.begin(), runnable_.end(),
+                      [&](std::size_t i) { return workerOf(i) == w; }))
+        dispatchRound(w);
     collectRoundResults();
 
-    // ---- Round barrier, every pass in job-index order (the in-process
-    // Scheduler's exact sequence: progress, publish, quarantine, checkpoint
-    // cadence, stall guard, journal). ----
-    for (const std::size_t i : runnable) {
+    for (const std::size_t i : runnable_) {
       if (!haveReport_[i])
         throw WireError("round " + std::to_string(round_) +
                         ": no report for job \"" + jobs_[i].spec.name + "\"");
-      const wire::JobRoundReport& rep = roundReports_[i];
-      ++jobs_[i].result.rounds;
-      iterations_[i] = rep.iterations;
-      finished_[i] = rep.finished ? 1 : 0;
-      if (!rep.strategyBlob.empty()) lastBlobs_[i] = rep.strategyBlob;
+      if (!roundReports_[i].strategyBlob.empty())
+        lastBlobs_[i] = roundReports_[i].strategyBlob;
     }
-    for (const std::size_t i : runnable) {
-      const wire::JobRoundReport& rep = roundReports_[i];
-      if (!rep.stepError.empty()) continue;
-      if (shared_ != nullptr) {
-        const std::size_t scope = shared_->scopeId(jobs_[i].scope);
-        for (const wire::PublishEntry& e : rep.publishes)
-          shared_->insert(scope, e.key, e.result);
-      }
-      jobs_[i].result.published += rep.publishes.size();
-    }
-    for (const std::size_t i : runnable) {
-      BuiltJob& job = jobs_[i];
-      const wire::JobRoundReport& rep = roundReports_[i];
-      if (!rep.stepError.empty()) {
-        job.result.quarantined = true;
-        job.result.quarantineReason = "step threw: " + rep.stepError;
-        continue;
-      }
-      if (rep.stats.failures > job.spec.maxFailures) {
-        job.result.quarantined = true;
-        job.result.quarantineReason =
-            quarantineReasonFor(job.spec, rep.stats, rep.firstFailure);
-      }
-    }
-    std::vector<std::size_t> checkpointJobs;
-    for (const std::size_t i : runnable) {
-      BuiltJob& job = jobs_[i];
-      if (job.result.quarantined) continue;
-      if (job.spec.checkpointEvery != 0 &&
-          job.result.rounds % job.spec.checkpointEvery == 0) {
-        checkpointJobs.push_back(i);
-        ++job.result.checkpoints;
-      }
-    }
-    for (const std::size_t i : runnable) {
-      const BuiltJob& job = jobs_[i];
-      if (job.result.quarantined) continue;
-      if (job.granted >= job.spec.budget && !finished_[i] &&
-          iterations_[i] == beforeIters[i])
-        throw std::logic_error("Scheduler: job \"" + job.spec.name +
-                               "\" makes no progress (strategy \"" +
-                               job.spec.strategy +
-                               "\" violates the step() contract)");
-    }
-    broadcastBarrier(checkpointJobs);
+    broadcastBarrier(
+        applyRoundBarrier(jobs_, runnable_, roundReports_, shared_.get()));
     if (journaling && round_ % scenario_.journalEvery == 0) writeJournalFile();
   }
 
-  if (!completed_) {
-    completed_ = true;
-    for (std::size_t i = 0; i < jobs_.size(); ++i)
-      if (!jobs_[i].result.quarantined && !finished_[i]) {
-        completed_ = false;
-        break;
-      }
-  }
+  if (!completed_) completed_ = !anyRunnable(jobs_);
   if (journaling && completed_ && round_ % scenario_.journalEvery != 0)
     writeJournalFile();
 
@@ -1056,21 +651,10 @@ void DistributedScheduler::resume(const std::string& journalPath) {
   const JournalState state = readJournal(journalPath, scenario_, shared_.get());
   round_ = state.round;
   for (std::size_t i = 0; i < jobs_.size(); ++i) {
-    BuiltJob& job = jobs_[i];
-    const JournalJobState& js = state.jobs[i];
-    job.granted = js.granted;
-    job.result.rounds = js.rounds;
-    job.result.published = js.published;
-    job.result.checkpoints = js.checkpoints;
-    job.result.quarantined = js.quarantined;
-    job.result.quarantineReason = js.quarantineReason;
-    job.strategy->restoreCheckpointBlob(
-        js.strategyBlob, journalPath + "[job " + job.spec.name + "]");
+    restoreJob(jobs_[i], state.jobs[i], journalPath);
     // Workers fork from this restored image at the first run(); the blob
     // also seeds the respawn-recovery state.
-    lastBlobs_[i] = js.strategyBlob;
-    finished_[i] = job.strategy->finished() ? 1 : 0;
-    iterations_[i] = job.strategy->outcome().iterations;
+    lastBlobs_[i] = state.jobs[i].strategyBlob;
   }
 }
 

@@ -5,11 +5,10 @@
 // for fleet-scale scenario sweeps (ROADMAP north-star; DNN-Opt and AutoCkt
 // both lean on parallel simulator farms for their sample throughput). It
 // forks `Scenario::workers` worker processes over socketpairs and shards
-// whole jobs across them by index; within a round, workers can additionally
-// offload eval-batch chunks to idle peers (`offload_chunks`). Workers run
-// the existing EvalEngine/Strategy machinery unchanged; every request,
-// result, ledger delta, and cache publish crosses the wire as a typed frame
-// of the io checkpoint container (orch/wire.hpp).
+// whole jobs across them by index. Workers step their jobs with the same
+// orch::stepJob the in-process Scheduler uses; every report, ledger delta,
+// and cache publish crosses the wire as a typed frame of the io checkpoint
+// container (orch/wire.hpp).
 //
 // Determinism contract — the same bar orch_test holds thread counts to:
 // outcomes, ledgers (cached/failed flags included), per-job stats, and
@@ -22,16 +21,16 @@
 //     copy-on-write image of the master, re-synced at every barrier), so a
 //     lookup during round R sees exactly the entries published through
 //     round R-1 — the same state the in-process engines see.
-//   * Freshly simulated results ship as publish lists
-//     (EvalEngine::drainPublishJournal) and the coordinator inserts them
-//     into the master cache at the barrier, in job-index order — the same
-//     inserts publishShared() would perform.
+//   * Freshly simulated results ship as publish lists inside the round
+//     reports (EvalEngine::drainPublishJournal).
+//   * The coordinator closes each round with orch::applyRoundBarrier — the
+//     in-process Scheduler's own barrier function, not a copy of it — so
+//     publish order, quarantine decisions and reasons, checkpoint cadence,
+//     and the stall guard cannot differ from workers = 0. The write-ahead
+//     journal follows, through the same journalRow/restoreJob mapping.
 //   * Mirror-probe hit/miss tallies ship as per-shard deltas and fold into
 //     the master's counters (SharedEvalCache::addProbes); shard assignment
 //     is a pure key hash and sums commute, so totals match bitwise.
-//   * Quarantine decisions, checkpoint cadence, the stall guard, and the
-//     write-ahead journal all run coordinator-side from reported
-//     deterministic state, with the Scheduler's exact reason strings.
 //
 // Fault tolerance (PR 6 integration): a worker that dies (or stalls past
 // `worker_timeout`) is SIGKILLed, reaped, re-forked, restored from the
@@ -121,11 +120,7 @@ class DistributedScheduler {
     pid_t pid = -1;
     wire::FrameChannel ch;
     std::vector<std::size_t> owned;  ///< job indices, ascending
-    bool stepping = false;   ///< round dispatched, result pending
-    bool chunkBusy = false;  ///< executing an offloaded chunk
-    /// Requester worker index of the chunk this worker is executing (valid
-    /// while chunkBusy; SIZE_MAX = requester died, drop the reply).
-    std::size_t chunkRequester = 0;
+    bool stepping = false;  ///< round dispatched, result pending
     std::size_t consecutiveDeaths = 0;  ///< respawns since last good round
     /// Stall deadline of the in-flight round (worker_timeout > 0 only).
     std::chrono::steady_clock::time_point deadline{};
@@ -139,7 +134,6 @@ class DistributedScheduler {
   void respawnWorker(std::size_t w, const std::string& why);
   void dispatchRound(std::size_t w);
   void collectRoundResults();
-  void handleChunkRequest(std::size_t from, io::CheckpointReader msg);
   void broadcastBarrier(const std::vector<std::size_t>& checkpointJobs);
   void writeJournalFile() const;
   std::vector<JobResult> harvestDistributed();
@@ -159,11 +153,8 @@ class DistributedScheduler {
   /// Per-job strategy blob as of the last barrier the job stepped in (empty
   /// until first report; always empty for non-checkpointable strategies).
   std::vector<std::string> lastBlobs_;
-  /// Coordinator view of per-job progress, updated from round reports.
-  std::vector<char> finished_;
-  std::vector<std::size_t> iterations_;
-  /// This round's grants (jobIndex -> granted target), valid while stepping.
-  std::vector<std::pair<std::size_t, std::size_t>> grants_;
+  /// This round's granted jobs (grantRound), valid until the next round.
+  std::vector<std::size_t> runnable_;
   /// This round's reports, indexed by job (valid at the barrier).
   std::vector<wire::JobRoundReport> roundReports_;
   std::vector<char> haveReport_;

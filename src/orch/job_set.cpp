@@ -96,6 +96,8 @@ JobSet buildJobs(Scenario scenario,
       failJob(sc, spec, e.what());
     }
 
+    job.finished = job.strategy->finished();
+    job.iterations = job.strategy->outcome().iterations;
     job.result.name = spec.name;
     job.result.strategy = spec.strategy;
     job.result.seed = spec.seed;

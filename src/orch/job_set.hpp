@@ -46,6 +46,12 @@ struct BuiltJob {
   std::unique_ptr<opt::Strategy> strategy;
   std::string scope;        ///< resolved shared-cache scope label
   std::size_t granted = 0;  ///< cumulative budget target handed out so far
+  /// Scheduler view of the strategy as of the last round barrier (or of
+  /// construction / journal restore): Strategy::finished() and
+  /// outcome().iterations. The coordinator of a multi-process run has no
+  /// live strategy to ask, so both schedulers read these instead.
+  bool finished = false;
+  std::size_t iterations = 0;
   JobResult result;
 };
 

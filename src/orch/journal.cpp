@@ -2,6 +2,7 @@
 
 #include <string>
 #include <type_traits>
+#include <utility>
 
 #include "io/checkpoint.hpp"
 
@@ -11,11 +12,11 @@ namespace {
 
 /// Fingerprint field order — writeFingerprint and checkFingerprint must
 /// mirror each other exactly; docs/ROBUSTNESS.md documents the layout.
-/// `threads`, `workers`, `worker_timeout`, and `offload_chunks` are
-/// deliberately absent: per-job outcomes are invariant to all of them, so
-/// resuming under a different thread/process count is legal (and a useful
-/// determinism test — the crash-recovery CI smoke resumes a --workers run
-/// from a single-process journal and vice versa).
+/// `threads`, `workers`, and `worker_timeout` are deliberately absent:
+/// per-job outcomes are invariant to all of them, so resuming under a
+/// different thread/process count is legal (and a useful determinism test —
+/// the crash-recovery CI smoke resumes a --workers run from a single-process
+/// journal and vice versa).
 void writeFingerprint(io::SectionWriter& w, const Scenario& sc) {
   w.str(sc.name);
   w.u64(sc.slice);
@@ -114,6 +115,32 @@ void checkFingerprint(io::SectionReader& r, const Scenario& sc) {
 }
 
 }  // namespace
+
+JournalJobState journalRow(const BuiltJob& job, std::string strategyBlob) {
+  JournalJobState row;
+  row.granted = job.granted;
+  row.rounds = job.result.rounds;
+  row.published = job.result.published;
+  row.checkpoints = job.result.checkpoints;
+  row.quarantined = job.result.quarantined;
+  row.quarantineReason = job.result.quarantineReason;
+  row.strategyBlob = std::move(strategyBlob);
+  return row;
+}
+
+void restoreJob(BuiltJob& job, const JournalJobState& row,
+                const std::string& journalPath) {
+  job.granted = row.granted;
+  job.result.rounds = row.rounds;
+  job.result.published = row.published;
+  job.result.checkpoints = row.checkpoints;
+  job.result.quarantined = row.quarantined;
+  job.result.quarantineReason = row.quarantineReason;
+  job.strategy->restoreCheckpointBlob(
+      row.strategyBlob, journalPath + "[job " + job.spec.name + "]");
+  job.finished = job.strategy->finished();
+  job.iterations = job.strategy->outcome().iterations;
+}
 
 void writeJournal(const std::string& path, const Scenario& scenario,
                   const JournalState& state,

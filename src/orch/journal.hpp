@@ -1,6 +1,6 @@
 // Write-ahead scenario journal — crash-resumable orchestration.
 //
-// At every round barrier (cadence Scenario::journalEvery) the Scheduler
+// At every round barrier (cadence Scenario::journalEvery) either scheduler
 // writes one atomic checkpoint file (container kind "orch-journal") holding
 // everything a fresh process needs to continue the run bitwise:
 //
@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "eval/shared_cache.hpp"
+#include "orch/job_set.hpp"
 #include "orch/scenario.hpp"
 
 namespace trdse::orch {
@@ -49,6 +50,15 @@ struct JournalState {
   std::size_t round = 0;  ///< rounds completed when the journal was written
   std::vector<JournalJobState> jobs;  ///< one entry per job, in job order
 };
+
+/// `job`'s journal row: its scheduling tallies plus `strategyBlob` — the one
+/// BuiltJob -> JournalJobState mapping both schedulers journal through.
+JournalJobState journalRow(const BuiltJob& job, std::string strategyBlob);
+
+/// The inverse of journalRow: restore `job`'s tallies and strategy (errors
+/// name `journalPath` and the job) and re-derive its progress view.
+void restoreJob(BuiltJob& job, const JournalJobState& row,
+                const std::string& journalPath);
 
 /// Atomically write the journal for `scenario` (seeds already resolved) to
 /// `path`. `shared` may be null (scenario without a shared cache). `events`

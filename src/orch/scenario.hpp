@@ -90,11 +90,6 @@ struct Scenario {
   /// because re-dispatch replays the identical round, but *when* a stall
   /// fires is not part of the contract.
   double workerTimeoutSeconds = 0.0;
-  /// Offload eval-batch chunks from busy workers to idle ones within a
-  /// round (the intra-round sharding axis; off by default). Results are
-  /// bitwise identical either way — backends are pure — so this is purely a
-  /// latency knob for expensive backends.
-  bool offloadChunks = false;
   /// EDA blocks granted to every unfinished job per scheduling round (the
   /// fairness quantum).
   std::size_t slice = 16;

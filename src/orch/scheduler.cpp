@@ -1,10 +1,10 @@
 #include "orch/scheduler.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
 #include "common/thread_pool.hpp"
+#include "orch/barrier.hpp"
 #include "orch/journal.hpp"
 
 namespace trdse::orch {
@@ -38,26 +38,12 @@ void Scheduler::enableJournal(const std::string& journalPath) {
   scenario_.journalPath = journalPath;
 }
 
-void Scheduler::quarantine(Job& job, std::string reason) {
-  job.result.quarantined = true;
-  job.result.quarantineReason = std::move(reason);
-}
-
 void Scheduler::writeJournalFile() const {
   JournalState state;
   state.round = round_;
   state.jobs.reserve(jobs_.size());
-  for (const Job& job : jobs_) {
-    JournalJobState js;
-    js.granted = job.granted;
-    js.rounds = job.result.rounds;
-    js.published = job.result.published;
-    js.checkpoints = job.result.checkpoints;
-    js.quarantined = job.result.quarantined;
-    js.quarantineReason = job.result.quarantineReason;
-    js.strategyBlob = job.strategy->saveCheckpointBlob();
-    state.jobs.push_back(std::move(js));
-  }
+  for (const Job& job : jobs_)
+    state.jobs.push_back(journalRow(job, job.strategy->saveCheckpointBlob()));
   // journalCache=false (serve daemon): the shared cache outlives this
   // scenario and is persisted separately; the journal then omits its section.
   writeJournal(scenario_.journalPath, scenario_, state,
@@ -73,19 +59,8 @@ void Scheduler::resume(const std::string& journalPath) {
       readJournal(journalPath, scenario_,
                   scenario_.journalCache ? shared_.get() : nullptr);
   round_ = state.round;
-  for (std::size_t i = 0; i < jobs_.size(); ++i) {
-    Job& job = jobs_[i];
-    const JournalJobState& js = state.jobs[i];
-    job.granted = js.granted;
-    job.result.rounds = js.rounds;
-    job.result.published = js.published;
-    job.result.checkpoints = js.checkpoints;
-    job.result.quarantined = js.quarantined;
-    job.result.quarantineReason = js.quarantineReason;
-    job.strategy->restoreCheckpointBlob(
-        js.strategyBlob,
-        journalPath + "[job " + job.spec.name + "]");
-  }
+  for (std::size_t i = 0; i < jobs_.size(); ++i)
+    restoreJob(jobs_[i], state.jobs[i], journalPath);
 }
 
 std::vector<JobResult> Scheduler::run(std::size_t maxRounds) {
@@ -95,19 +70,12 @@ std::vector<JobResult> Scheduler::run(std::size_t maxRounds) {
 
   common::ThreadPool pool(scenario_.threads);
   const bool journaling = !scenario_.journalPath.empty();
-  std::vector<std::size_t> runnable;
-  runnable.reserve(jobs_.size());
-  std::vector<std::size_t> beforeIters(jobs_.size(), 0);
-  std::vector<std::string> stepErrors(jobs_.size());
+  std::vector<wire::JobRoundReport> reports(jobs_.size());
   std::size_t roundsThisCall = 0;
 
   while (maxRounds == 0 || roundsThisCall < maxRounds) {
-    // Round-robin fairness: every unfinished, non-quarantined job, in
-    // job-index order, gets the same additional slice of its own budget.
-    runnable.clear();
-    for (std::size_t i = 0; i < jobs_.size(); ++i)
-      if (!jobs_[i].result.quarantined && !jobs_[i].strategy->finished())
-        runnable.push_back(i);
+    const std::vector<std::size_t> runnable =
+        grantRound(jobs_, scenario_.slice);
     if (runnable.empty()) {
       completed_ = true;
       break;
@@ -118,79 +86,17 @@ std::vector<JobResult> Scheduler::run(std::size_t maxRounds) {
     // Concurrent step phase: jobs are independent (own engine, own RNG
     // streams) and the shared cache is read-only during the round, so the
     // fan-out is free of cross-job races and outcomes are thread-count
-    // invariant. A throwing strategy is contained to its own slot here and
-    // quarantined at the barrier below — one sick job must not tear down
-    // the whole scenario.
-    for (const std::size_t i : runnable) {
-      beforeIters[i] = jobs_[i].strategy->outcome().iterations;
-      stepErrors[i].clear();
-    }
+    // invariant. A throwing strategy is contained to its own report and
+    // quarantined at the barrier — one sick job must not tear down the
+    // whole scenario.
     pool.parallelFor(runnable.size(), [&](std::size_t r) {
-      Job& job = jobs_[runnable[r]];
-      job.granted = std::min(job.spec.budget, job.granted + scenario_.slice);
-      try {
-        job.strategy->step(job.granted);
-      } catch (const std::exception& e) {
-        stepErrors[runnable[r]] =
-            e.what()[0] != '\0' ? e.what() : "unknown error";
-      } catch (...) {
-        stepErrors[runnable[r]] = "non-standard exception";
-      }
-      ++job.result.rounds;
+      const std::size_t i = runnable[r];
+      reports[i] = stepJob(jobs_[i], i);
     });
 
-    // Barrier publish phase, in job-index order: results simulated this
-    // round become visible to *later* rounds only — the shared-cache
-    // determinism contract. Jobs that threw publish nothing (their round
-    // was cut short at a deterministic point, but skipping keeps the
-    // barrier state trivially independent of how far they got).
-    for (const std::size_t i : runnable)
-      if (stepErrors[i].empty())
-        jobs_[i].result.published += jobs_[i].strategy->engine().publishShared();
-
-    // Quarantine scan, in job-index order, from deterministic engine state:
-    // reasons and the set of quarantined jobs are bitwise identical for any
-    // thread count.
-    for (const std::size_t i : runnable) {
-      Job& job = jobs_[i];
-      if (!stepErrors[i].empty()) {
-        quarantine(job, "step threw: " + stepErrors[i]);
-        continue;
-      }
-      const eval::EvalStats& stats = job.strategy->engine().stats();
-      if (stats.failures > job.spec.maxFailures)
-        quarantine(job, quarantineReasonFor(
-                            job.spec, stats,
-                            job.strategy->engine().firstFailure()));
-    }
-
-    // Checkpoint cadence (rounds, counted per job; quarantined jobs stop
-    // snapshotting — their last good checkpoint stays put).
-    for (const std::size_t i : runnable) {
-      Job& job = jobs_[i];
-      if (job.result.quarantined) continue;
-      if (job.spec.checkpointEvery != 0 &&
-          job.result.rounds % job.spec.checkpointEvery == 0) {
-        job.strategy->saveCheckpoint(job.spec.checkpointPath);
-        ++job.result.checkpoints;
-      }
-    }
-
-    // Stall guard: a job already granted its full budget that neither
-    // finishes nor consumes anything in a round would loop forever.
-    // Strategies signal inability to proceed via finished(), so hitting
-    // this means a strategy contract violation — surface it loudly rather
-    // than spinning.
-    for (const std::size_t i : runnable) {
-      Job& job = jobs_[i];
-      if (job.result.quarantined) continue;
-      if (job.granted >= job.spec.budget && !job.strategy->finished() &&
-          job.strategy->outcome().iterations == beforeIters[i])
-        throw std::logic_error("Scheduler: job \"" + job.spec.name +
-                               "\" makes no progress (strategy \"" +
-                               job.spec.strategy +
-                               "\" violates the step() contract)");
-    }
+    for (const std::size_t i :
+         applyRoundBarrier(jobs_, runnable, reports, shared_.get()))
+      jobs_[i].strategy->saveCheckpoint(jobs_[i].spec.checkpointPath);
 
     // Write-ahead journal at the barrier, after every state transition of
     // this round is final. A kill at any point between two journal writes
@@ -212,8 +118,8 @@ std::vector<JobResult> Scheduler::run(std::size_t maxRounds) {
         p.index = i;
         p.granted = job.granted;
         const opt::StrategyOutcome& out = job.strategy->outcome();
-        p.iterations = out.iterations;
-        p.finished = job.strategy->finished();
+        p.iterations = job.iterations;
+        p.finished = job.finished;
         p.quarantined = job.result.quarantined;
         p.solved = out.solved;
         const eval::EvalStats& stats = job.strategy->engine().stats();
@@ -228,14 +134,7 @@ std::vector<JobResult> Scheduler::run(std::size_t maxRounds) {
 
   // Completion check also when maxRounds cut the loop short before the
   // empty-runnable test re-ran.
-  if (!completed_) {
-    completed_ = true;
-    for (const Job& job : jobs_)
-      if (!job.result.quarantined && !job.strategy->finished()) {
-        completed_ = false;
-        break;
-      }
-  }
+  if (!completed_) completed_ = !anyRunnable(jobs_);
   // The final state is always journaled, whatever the cadence: a completed
   // run's journal must describe the completed run.
   if (journaling && completed_ && round_ % scenario_.journalEvery != 0)

@@ -16,10 +16,14 @@
 //     alone — never of thread scheduling.
 //   * Jobs only *read* the shared cache while a round runs; results
 //     simulated during a round are journaled per engine and published at
-//     the round barrier, in job-index order (EvalEngine::publishShared).
-//     A lookup therefore sees exactly the entries published by earlier
-//     rounds, and every per-job outcome, ledger, and hit/miss counter is
-//     bitwise identical for any `threads` value.
+//     the round barrier, in job-index order. A lookup therefore sees exactly
+//     the entries published by earlier rounds, and every per-job outcome,
+//     ledger, and hit/miss counter is bitwise identical for any `threads`
+//     value.
+//   * The barrier itself — progress, publish, quarantine, checkpoint
+//     cadence, stall guard — is orch::applyRoundBarrier (orch/barrier.hpp),
+//     the one function the multi-process DistributedScheduler's coordinator
+//     calls too, so the two schedulers cannot drift apart.
 //   * Per-job RNG streams are independent: explicit seeds are honored and
 //     absent seeds derive from (baseSeed, job index) via common::perTaskSeed.
 //
@@ -134,9 +138,6 @@ class Scheduler {
   /// wiring, and validation errors.
   using Job = BuiltJob;
 
-  /// Quarantine `job` with a deterministic reason (idempotent guard in the
-  /// caller); the job leaves the runnable set from the next round on.
-  static void quarantine(Job& job, std::string reason);
   /// Write the journal file (Scenario::journalPath must be set).
   void writeJournalFile() const;
   /// One JobResult row per job from current strategy/engine state.

@@ -33,12 +33,11 @@ std::uint64_t getU64(const unsigned char* p) {
 
 bool knownMessageKind(std::string_view kind) {
   static constexpr std::string_view kKnown[] = {
-      kMsgRunRound,  kMsgRoundResult, kMsgBarrier,       kMsgRestore,
-      kMsgRestoreAck, kMsgHarvest,    kMsgHarvestResult, kMsgChunkRequest,
-      kMsgChunkExec, kMsgChunkReply,  kMsgShutdown,      kMsgSubmit,
-      kMsgAccepted,  kMsgRejected,    kMsgStatus,        kMsgStatusReply,
-      kMsgStream,    kMsgProgress,    kMsgResult,        kMsgCancel,
-      kMsgServeShutdown, kMsgOk,
+      kMsgRunRound,   kMsgRoundResult, kMsgBarrier,       kMsgRestore,
+      kMsgRestoreAck, kMsgHarvest,     kMsgHarvestResult, kMsgShutdown,
+      kMsgSubmit,     kMsgAccepted,    kMsgRejected,      kMsgStatus,
+      kMsgStatusReply, kMsgStream,     kMsgProgress,      kMsgResult,
+      kMsgCancel,     kMsgServeShutdown, kMsgOk,
   };
   for (const std::string_view k : kKnown)
     if (k == kind) return true;
@@ -285,7 +284,9 @@ void writePublishes(io::SectionWriter& w,
 }
 
 std::vector<PublishEntry> readPublishes(io::SectionReader& r) {
-  const std::uint64_t n = r.u64();
+  // Smallest entry: empty index vector, corner, ok flag, empty measurements,
+  // fault class.
+  const std::uint64_t n = r.count(8 + 8 + 1 + 8 + 1);
   std::vector<PublishEntry> entries;
   entries.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
@@ -332,7 +333,7 @@ void writeShardDeltas(io::SectionWriter& w,
 }
 
 std::vector<ShardDelta> readShardDeltas(io::SectionReader& r) {
-  const std::uint64_t n = r.u64();
+  const std::uint64_t n = r.count(3 * 8);
   std::vector<ShardDelta> deltas;
   deltas.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {

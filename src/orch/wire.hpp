@@ -49,6 +49,11 @@ class WireError : public std::runtime_error {
 ///   1 — PR 8 coordinator/worker message set.
 ///   2 — PR 9 serve/* message kinds (sizing-as-a-service daemon). Payloads of
 ///       version-1 messages are unchanged, so a v2 peer speaks to a v1 one.
+///   2 (unchanged) — the wire/chunk-{request,exec,reply} kinds of the
+///       removed worker-to-worker eval-chunk relay are gone. No remaining
+///       payload changed, and a peer that still sends one gets the
+///       unknown-kind WireError, so builds with and without them keep
+///       interoperating at version 2.
 inline constexpr std::uint32_t kWireVersion = 2;
 
 /// Largest frame body accepted — shared by the transport (a corrupted length
@@ -66,9 +71,6 @@ inline constexpr char kMsgRestore[] = "wire/restore";
 inline constexpr char kMsgRestoreAck[] = "wire/restore-ack";
 inline constexpr char kMsgHarvest[] = "wire/harvest";
 inline constexpr char kMsgHarvestResult[] = "wire/harvest-result";
-inline constexpr char kMsgChunkRequest[] = "wire/chunk-request";
-inline constexpr char kMsgChunkExec[] = "wire/chunk-exec";
-inline constexpr char kMsgChunkReply[] = "wire/chunk-reply";
 inline constexpr char kMsgShutdown[] = "wire/shutdown";
 
 // Message kinds of the sizing service (serve::Daemon <-> serve::Client;
@@ -167,10 +169,7 @@ class FrameChannel {
 // io::CheckpointError on malformed fields.
 
 /// One (key, result) pair of a round's shared-cache publish list.
-struct PublishEntry {
-  eval::EvalKey key;
-  core::EvalResult result;
-};
+using PublishEntry = eval::PublishEntry;
 
 /// Per-job report carried by a round-result message.
 struct JobRoundReport {

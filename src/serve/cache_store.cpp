@@ -34,7 +34,7 @@ bool loadCacheFile(const std::string& path, eval::SharedEvalCache& cache,
   io::SectionReader c = reader.section("cache");
   cache.restoreState(c);
   io::SectionReader l = reader.section("lru");
-  const std::uint64_t n = l.u64();
+  const std::uint64_t n = l.count(8);  // length-prefixed scope names
   lru.clear();
   lru.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) lru.push_back(l.str());

@@ -163,7 +163,7 @@ std::vector<JobStatus> Client::status(std::uint64_t id) {
   msg.section("body").u64(id);
   io::CheckpointReader reply = roundTrip(msg, wire::kMsgStatusReply);
   io::SectionReader body = reply.section("body");
-  const std::uint64_t count = body.u64();
+  const std::uint64_t count = body.count(1);
   std::vector<JobStatus> rows;
   rows.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i)

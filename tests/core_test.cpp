@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
+#include "circuits/registry.hpp"
 #include "core/local_dataset.hpp"
 #include "core/local_explorer.hpp"
 #include "core/problem.hpp"
@@ -11,6 +13,9 @@
 #include "core/surrogate.hpp"
 #include "core/trust_region.hpp"
 #include "core/value.hpp"
+#include "io/checkpoint.hpp"
+#include "io/state_io.hpp"
+#include "pvt/corners.hpp"
 
 namespace trdse::core {
 namespace {
@@ -496,6 +501,138 @@ TEST(SizingSession, AutoScheduleScalesWithDimension) {
   const auto large = autoSchedule(bigProblem, 1);
   EXPECT_GT(large.mcSamples, small.mcSamples);
   EXPECT_GE(large.initSamples, small.initSamples);
+}
+
+
+// ---------- Trust-region invariants on real search traces ----------
+
+/// Whether `next` is what one TRM ratio test can make of radius `prev`:
+/// shrunk, kept, or expanded, each clamped to [minRadius, maxRadius].
+bool isTrmStep(const TrustRegionConfig& c, double prev, double next) {
+  return next == std::max(c.minRadius, prev * c.shrinkFactor) ||
+         next == prev || next == std::min(c.maxRadius, prev * c.expandFactor);
+}
+
+TEST(TrustRegionInvariants, LocalExplorerTracesOnSphereCsp) {
+  // A tight target and short restart criteria: long runs that shrink,
+  // expand, and restart many times within the budget.
+  const auto prob = sphereCsp(0.004);
+  const ValueFunction value(prob.measurementNames, prob.specs);
+  std::size_t shrinks = 0, expands = 0, resets = 0;
+  for (const std::uint64_t seed : {3u, 5u, 8u}) {
+    LocalExplorerConfig cfg;
+    cfg.seed = seed;
+    cfg.mcSamples = 200;
+    cfg.restartAfter = 40;
+    cfg.stagnationPatience = 8;
+    LocalExplorer agent(
+        prob.space, value,
+        [&](const linalg::Vector& x) { return prob.evaluate(x, prob.corners[0]); },
+        cfg);
+    const SearchOutcome out = agent.run(200);
+    const TrustRegionConfig& tc = cfg.trustRegion;
+    const std::vector<double>& r = out.trace.radiusHistory;
+    ASSERT_FALSE(r.empty()) << "seed " << seed;
+    EXPECT_EQ(r.front(), tc.initRadius);
+    std::size_t seedResets = 0;
+    for (std::size_t i = 0; i < r.size(); ++i) {
+      EXPECT_GE(r[i], tc.minRadius) << "seed " << seed << " step " << i;
+      EXPECT_LE(r[i], tc.maxRadius) << "seed " << seed << " step " << i;
+      if (i == 0) continue;
+      if (isTrmStep(tc, r[i - 1], r[i])) {
+        shrinks += r[i] < r[i - 1];
+        expands += r[i] > r[i - 1];
+      } else {
+        // Anything else must be a fresh trust region after a restart.
+        EXPECT_EQ(r[i], tc.initRadius) << "seed " << seed << " step " << i;
+        ++seedResets;
+      }
+    }
+    EXPECT_LE(seedResets, out.trace.restarts) << "seed " << seed;
+    resets += seedResets;
+    const std::vector<double>& best = out.trace.bestValueHistory;
+    for (std::size_t i = 1; i < best.size(); ++i)
+      EXPECT_GE(best[i], best[i - 1]) << "seed " << seed << " sim " << i;
+  }
+  // The traces really exercised every branch of the schedule.
+  EXPECT_GT(shrinks, 0u);
+  EXPECT_GT(expands, 0u);
+  EXPECT_GT(resets, 0u);
+}
+
+/// The TRM fields of a PvtSearch, read from its checkpoint "search" section
+/// (layout in PvtSearch::save; docs/CHECKPOINTS.md).
+struct PvtTrmState {
+  double centerValue = 0.0;
+  double radius = 0.0;
+  std::size_t sinceRestart = 0;  ///< TRM steps in the current episode
+  std::size_t trmSteps = 0;      ///< TRM steps in total
+};
+
+PvtTrmState readTrmState(const PvtSearch& search) {
+  io::CheckpointWriter w("pvt-search");
+  search.save(w);
+  const std::string blob = w.finish();
+  const io::CheckpointReader reader("probe", blob);
+  io::SectionReader s = reader.section("search");
+  PvtTrmState st;
+  s.boolean();  // initialized
+  s.u8();       // phase
+  s.u64();      // init sample index
+  s.boolean();  // have center
+  s.vec();      // center sizes
+  s.vec();      // center unit
+  for (std::uint64_t n = s.u64(), i = 0; i < n; ++i) io::readEvalResult(s);
+  st.centerValue = s.f64();
+  st.radius = s.f64();
+  st.sinceRestart = s.u64();
+  s.u64();  // steps since improvement
+  st.trmSteps = s.u64();
+  return st;
+}
+
+TEST(TrustRegionInvariants, PvtSearchTraceOnTwoStageOpamp) {
+  const SizingProblem prob = circuits::Registry::global().makeProblem(
+      "two_stage_opamp", pvt::nineCornerSet(1.1));
+  PvtSearchConfig cfg;
+  cfg.seed = 7;
+  cfg.explorer.mcSamples = 200;
+  cfg.explorer.stagnationPatience = 6;
+  const TrustRegionConfig& tc = cfg.explorer.trustRegion;
+  PvtSearch search(prob, cfg);
+
+  // Advance one simulating step at a time (run() pauses at the first budget
+  // check past the target) and observe the state after every TRM step.
+  PvtTrmState last;
+  std::size_t steps = 0, episodes = 0, sims = 0;
+  for (PvtSearchOutcome out; !out.solved && sims < 500;) {
+    out = search.run(sims + 1);
+    if (out.totalSims == sims) break;  // nothing left to do
+    sims = out.totalSims;
+    const PvtTrmState st = readTrmState(search);
+    if (st.trmSteps == last.trmSteps) continue;
+    ASSERT_EQ(st.trmSteps, last.trmSteps + 1) << "sim " << sims;
+    ++steps;
+    EXPECT_GE(st.radius, tc.minRadius) << "TRM step " << st.trmSteps;
+    EXPECT_LE(st.radius, tc.maxRadius) << "TRM step " << st.trmSteps;
+    if (st.sinceRestart == 1) {
+      // First step of an episode: the region was reset to initRadius.
+      ++episodes;
+      EXPECT_TRUE(isTrmStep(tc, tc.initRadius, st.radius))
+          << "TRM step " << st.trmSteps;
+    } else {
+      ASSERT_EQ(st.sinceRestart, last.sinceRestart + 1);
+      EXPECT_TRUE(isTrmStep(tc, last.radius, st.radius))
+          << "TRM step " << st.trmSteps << ": " << last.radius << " -> "
+          << st.radius;
+      // Accepted steps never lower the center's value.
+      EXPECT_GE(st.centerValue, last.centerValue)
+          << "TRM step " << st.trmSteps;
+    }
+    last = st;
+  }
+  EXPECT_GE(steps, 20u);
+  EXPECT_GE(episodes, 2u);
 }
 
 }  // namespace

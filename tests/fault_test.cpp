@@ -470,7 +470,7 @@ TEST(SharedCachePoison, EngineNeverPublishesPoisonedResults) {
 
   // Only the clean result crosses the publish barrier: a NaN that a backend
   // leaked in one job can never become another job's shared "truth".
-  EXPECT_EQ(engine.publishShared(), 1u);
+  EXPECT_EQ(shared->publish("fault_grid", engine.drainPublishJournal()), 1u);
   EXPECT_EQ(shared->size(), 1u);
 }
 

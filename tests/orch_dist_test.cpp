@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -243,39 +244,6 @@ TEST(DistributedScheduler, FaultQuarantineMatchesInProcessBitwise) {
   }
 }
 
-TEST(DistributedScheduler, ChunkOffloadIsBitwiseInvisible) {
-  // Jobs with very different budgets: rs_short finishes early, so its worker
-  // goes idle while rs_long keeps stepping — the window in which offloaded
-  // chunks are actually granted (whether any given batch offloads or
-  // computes locally is a timing race by design; the assertion is that the
-  // choice can never show in any outcome, ledger, or counter).
-  const auto scenario = [] {
-    ensureTinyGridRegistered();
-    return parseScenarioText(
-        "name = dist_offload\n"
-        "slice = 12\n"
-        "base_seed = 5\n"
-        "[job]\nname = rs_long\ncircuit = two_stage_opamp\n"
-        "strategy = random_search\nseed = 31\nbudget = 60\n"
-        "[job]\nname = rs_short\ncircuit = two_stage_opamp\n"
-        "strategy = random_search\nseed = 32\nbudget = 12\n",
-        "inline");
-  };
-
-  std::vector<JobResult> off;
-  {
-    Scenario sc = scenario();
-    sc.workers = 2;
-    DistributedScheduler sched(std::move(sc));
-    off = sched.run();
-  }
-  Scenario sc = scenario();
-  sc.workers = 2;
-  sc.offloadChunks = true;
-  DistributedScheduler sched(std::move(sc));
-  expectSameResults(sched.run(), off);
-}
-
 // ---- Fault tolerance: worker death, coordinator death --------------------
 
 TEST(DistributedScheduler, WorkerKilledMidRoundIsRedispatchedBitwise) {
@@ -398,19 +366,16 @@ TEST(Scenario, ParsesWorkerKnobs) {
   const Scenario sc = parseScenarioText(
       "workers = 3\n"
       "worker_timeout = 2.5\n"
-      "offload_chunks = on\n"
       "[job]\ncircuit = ldo\nstrategy = random_search\nbudget = 10\n",
       "inline");
   EXPECT_EQ(sc.workers, 3u);
   EXPECT_EQ(sc.workerTimeoutSeconds, 2.5);
-  EXPECT_TRUE(sc.offloadChunks);
-  // Defaults: single-process, no stall deadline, no chunk offload.
+  // Defaults: single-process, no stall deadline.
   const Scenario defaults = parseScenarioText(
       "[job]\ncircuit = ldo\nstrategy = random_search\nbudget = 10\n",
       "inline");
   EXPECT_EQ(defaults.workers, 0u);
   EXPECT_EQ(defaults.workerTimeoutSeconds, 0.0);
-  EXPECT_FALSE(defaults.offloadChunks);
 }
 
 TEST(Scenario, RejectsMalformedWorkerKnobsWithFileAndLine) {
@@ -426,8 +391,6 @@ TEST(Scenario, RejectsMalformedWorkerKnobsWithFileAndLine) {
                std::invalid_argument);  // duplicate key, no last-wins
   EXPECT_THROW(parseScenarioText("worker_timeout = -0.5\n" + tail, "x"),
                std::invalid_argument);
-  EXPECT_THROW(parseScenarioText("offload_chunks = maybe\n" + tail, "x"),
-               std::invalid_argument);
   EXPECT_THROW(parseScenarioText("[job]\ncircuit = c\nstrategy = s\n"
                                  "budget = 1\nworkers = 2\n",
                                  "x"),
@@ -441,6 +404,27 @@ TEST(Scenario, RejectsMalformedWorkerKnobsWithFileAndLine) {
     EXPECT_NE(std::string(e.what()).find("bad.scenario:2"), std::string::npos)
         << e.what();
     EXPECT_NE(std::string(e.what()).find("workers"), std::string::npos);
+  }
+}
+
+TEST(Scenario, RejectsRemovedOffloadKeyAsUnknown) {
+  // The eval-chunk offload is gone: its key is an unknown key like any
+  // typo, reported at file:line, and the known-key list no longer offers it.
+  const std::string tail =
+      "[job]\ncircuit = ldo\nstrategy = random_search\nbudget = 10\n";
+  try {
+    parseScenarioText("workers = 2\noffload_chunks = on\n" + tail,
+                      "old.scenario");
+    FAIL() << "offload_chunks accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("old.scenario:2"), std::string::npos) << what;
+    EXPECT_NE(what.find("unknown scenario key \"offload_chunks\""),
+              std::string::npos)
+        << what;
+    const std::size_t known = what.find("(known:");
+    ASSERT_NE(known, std::string::npos) << what;
+    EXPECT_EQ(what.find("offload", known), std::string::npos) << what;
   }
 }
 
@@ -602,6 +586,227 @@ TEST(Wire, StatsCodecRejectsBrokenPartitionInvariant) {
   const io::CheckpointReader reader = wire::decodeFrame(body, "t");
   io::SectionReader r = reader.section("stats");
   EXPECT_THROW(wire::readEvalStats(r), io::CheckpointError);
+}
+
+
+// ---- Seeded mutation fuzz of the coordinator/worker frames ----------------
+
+wire::JobRoundReport sampleReport(std::size_t jobIndex) {
+  wire::JobRoundReport rep;
+  rep.jobIndex = jobIndex;
+  rep.stepError = jobIndex % 2 == 0 ? "" : "boom";
+  rep.finished = jobIndex % 2 == 1;
+  rep.iterations = 17 + jobIndex;
+  rep.stats.requests = 9;
+  rep.stats.simulated = 5;
+  rep.stats.cacheHits = 2;
+  rep.stats.sharedHits = 1;
+  rep.stats.failures = 1;
+  rep.stats.attempts = 7;
+  rep.firstFailure.valid = true;
+  rep.firstFailure.cls = sim::FaultClass::kTimeout;
+  rep.firstFailure.attempts = 3;
+  for (std::size_t k = 0; k < 3; ++k) {
+    wire::PublishEntry e;
+    e.key = {{k, k + 1, 2 * k}, k % 2};
+    e.result.ok = k != 2;
+    e.result.measurements = {0.5 * static_cast<double>(k), -1.25};
+    rep.publishes.push_back(std::move(e));
+  }
+  rep.strategyBlob = std::string("blob\0bytes", 10);
+  return rep;
+}
+
+/// One valid frame body (length prefix stripped) of every coordinator/worker
+/// message kind that carries a payload.
+std::vector<std::string> sampleWireBodies() {
+  std::vector<io::CheckpointWriter> msgs;
+  {
+    io::CheckpointWriter m = wire::makeMessage(wire::kMsgRunRound);
+    io::SectionWriter& r = m.section("round");
+    r.u64(4);
+    r.boolean(false);
+    r.u64(2);
+    for (const std::uint64_t v : {0, 32, 2, 48}) r.u64(v);
+    msgs.push_back(std::move(m));
+  }
+  {
+    io::CheckpointWriter m = wire::makeMessage(wire::kMsgRoundResult);
+    m.section("round").u64(4);
+    io::SectionWriter& js = m.section("jobs");
+    js.u64(2);
+    wire::writeJobRoundReport(js, sampleReport(0));
+    wire::writeJobRoundReport(js, sampleReport(3));
+    wire::writeShardDeltas(m.section("deltas"), {{0, 3, 1}, {5, 0, 2}});
+    msgs.push_back(std::move(m));
+  }
+  {
+    io::CheckpointWriter m = wire::makeMessage(wire::kMsgBarrier);
+    m.section("round").u64(4);
+    io::SectionWriter& pb = m.section("publishes");
+    pb.u64(1);
+    pb.u64(0);
+    wire::writePublishes(pb, sampleReport(0).publishes);
+    m.section("checkpoints").indexVec({0, 2});
+    msgs.push_back(std::move(m));
+  }
+  {
+    io::CheckpointWriter m = wire::makeMessage(wire::kMsgRestore);
+    io::SectionWriter& js = m.section("jobs");
+    js.u64(2);
+    js.u64(1);
+    js.str("first blob");
+    js.u64(3);
+    js.str(std::string(40, 'x'));
+    msgs.push_back(std::move(m));
+  }
+  {
+    io::CheckpointWriter m = wire::makeMessage(wire::kMsgHarvestResult);
+    io::SectionWriter& js = m.section("jobs");
+    js.u64(1);
+    wire::JobHarvest h;
+    h.jobIndex = 2;
+    h.outcome.iterations = 12;
+    h.outcome.sizes = {1.0, 2.0};
+    h.outcome.bestMeasurements = {3.5};
+    h.outcome.ledger.record(0, pvt::BlockKind::kSearch, true, false, false, 0,
+                            0);
+    h.outcome.ledger.record(1, pvt::BlockKind::kSearch, false, true, false, 0,
+                            0);
+    h.outcome.evalStats.requests = 2;
+    h.outcome.evalStats.simulated = 1;
+    h.outcome.evalStats.cacheHits = 1;
+    h.engineLedger = h.outcome.ledger;
+    h.engineStats = h.outcome.evalStats;
+    wire::writeJobHarvest(js, h);
+    msgs.push_back(std::move(m));
+  }
+  std::vector<std::string> bodies;
+  for (const io::CheckpointWriter& m : msgs)
+    bodies.push_back(wire::encodeFrame(m).substr(8));
+  return bodies;
+}
+
+/// decodeFrame plus the payload reads the coordinator and the workers
+/// perform for the frame's kind (orch/distributed.cpp).
+void readWireFrame(const std::string& body) {
+  const io::CheckpointReader msg = wire::decodeFrame(body, "fuzz");
+  const std::string& kind = msg.kind();
+  if (kind == wire::kMsgRunRound) {
+    io::SectionReader r = msg.section("round");
+    r.u64();
+    r.boolean();
+    const std::uint64_t n = r.u64();
+    for (std::uint64_t k = 0; k < n; ++k) {
+      r.u64();
+      r.u64();
+    }
+    r.expectEnd();
+  } else if (kind == wire::kMsgRoundResult) {
+    io::SectionReader rr = msg.section("round");
+    rr.u64();
+    rr.expectEnd();
+    io::SectionReader js = msg.section("jobs");
+    const std::uint64_t n = js.u64();
+    for (std::uint64_t k = 0; k < n; ++k) wire::readJobRoundReport(js);
+    js.expectEnd();
+    io::SectionReader ds = msg.section("deltas");
+    wire::readShardDeltas(ds);
+    ds.expectEnd();
+  } else if (kind == wire::kMsgBarrier) {
+    io::SectionReader pb = msg.section("publishes");
+    const std::uint64_t m = pb.u64();
+    for (std::uint64_t k = 0; k < m; ++k) {
+      pb.u64();
+      wire::readPublishes(pb);
+    }
+    pb.expectEnd();
+    io::SectionReader cp = msg.section("checkpoints");
+    cp.indexVec();
+    cp.expectEnd();
+  } else if (kind == wire::kMsgRestore) {
+    io::SectionReader r = msg.section("jobs");
+    const std::uint64_t n = r.u64();
+    for (std::uint64_t k = 0; k < n; ++k) {
+      r.u64();
+      r.str();
+    }
+    r.expectEnd();
+  } else if (kind == wire::kMsgHarvestResult) {
+    io::SectionReader js = msg.section("jobs");
+    const std::uint64_t n = js.u64();
+    for (std::uint64_t k = 0; k < n; ++k) wire::readJobHarvest(js);
+    js.expectEnd();
+  }
+}
+
+TEST(WireFuzz, SampleFramesDecode) {
+  for (const std::string& body : sampleWireBodies())
+    EXPECT_NO_THROW(readWireFrame(body));
+}
+
+TEST(WireFuzz, MutatedFramesDecodeOrThrowTypedErrors) {
+  // Byte flips, truncations, and splices of valid frames. Half the mutants
+  // get their body checksum recomputed, so they reach the container parser
+  // and the payload readers instead of stopping at the checksum. Every
+  // mutant must decode or throw WireError / CheckpointError — a
+  // length_error, bad_alloc, or crash from a corrupt count is a bug.
+  const std::vector<std::string> bodies = sampleWireBodies();
+  std::mt19937_64 rng(20211205);
+  constexpr std::size_t kMutants = 3000;
+  std::size_t decoded = 0, typed = 0, resealed = 0;
+  for (std::size_t it = 0; it < kMutants; ++it) {
+    std::string m = bodies[rng() % bodies.size()];
+    switch (rng() % 3) {
+      case 0:  // flip 1-4 bytes
+        for (std::uint64_t f = 0, n = 1 + rng() % 4; f < n; ++f)
+          m[rng() % m.size()] ^= static_cast<char>(1 + rng() % 255);
+        break;
+      case 1:  // truncate
+        m.resize(rng() % m.size());
+        break;
+      default: {  // splice: a prefix of this frame, a suffix of another
+        const std::string& other = bodies[rng() % bodies.size()];
+        m = m.substr(0, rng() % (m.size() + 1)) +
+            other.substr(rng() % (other.size() + 1));
+      }
+    }
+    if (m.size() >= 16 && rng() % 2 == 0) {
+      std::uint64_t sum = io::fnv1a64(m.data() + 16, m.size() - 16);
+      for (std::size_t b = 0; b < 8; ++b, sum >>= 8)
+        m[8 + b] = static_cast<char>(sum & 0xff);
+      ++resealed;
+    }
+    try {
+      readWireFrame(m);
+      ++decoded;
+    } catch (const wire::WireError&) {
+      ++typed;
+    } catch (const io::CheckpointError&) {
+      ++typed;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutant " << it << " escaped as " << e.what();
+    }
+  }
+  EXPECT_EQ(decoded + typed, kMutants);
+  EXPECT_GT(resealed, kMutants / 3);
+  EXPECT_GT(decoded, 0u);  // some mutants stay well-formed
+}
+
+TEST(WireFuzz, RemovedChunkKindsAreUnknown) {
+  for (const char* kind :
+       {"wire/chunk-request", "wire/chunk-exec", "wire/chunk-reply"}) {
+    const std::string body =
+        wire::encodeFrame(wire::makeMessage(kind)).substr(8);
+    try {
+      wire::decodeFrame(body, "t");
+      ADD_FAILURE() << kind << " decoded";
+    } catch (const wire::WireError& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown wire message kind"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

@@ -229,12 +229,15 @@ TEST(EngineSharedCache, HitsOnlyAfterPublishAndOnlySameScope) {
   EXPECT_EQ(b.stats().simulated, 1u);
   EXPECT_EQ(b.stats().sharedHits, 0u);
 
-  EXPECT_EQ(a.publishShared(), 1u);
-  EXPECT_EQ(a.publishShared(), 0u);  // journal drained
+  const auto publishA = [&] {
+    return shared->publish("tiny_grid", a.drainPublishJournal());
+  };
+  EXPECT_EQ(publishA(), 1u);
+  EXPECT_EQ(publishA(), 0u);  // journal drained
 
   const linalg::Vector y = problem.space.snap({0.75, 0.25});
   a.evalOne(0, y, pvt::BlockKind::kSearch);
-  EXPECT_EQ(a.publishShared(), 1u);
+  EXPECT_EQ(publishA(), 1u);
 
   // Published now: B serves y from the shared cache at zero EDA cost, and
   // the ledger block is flagged cached.

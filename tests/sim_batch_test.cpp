@@ -600,68 +600,6 @@ TEST(AssemblyPlanCache, RepeatSweepsRebuildNothingAndStayBitwise) {
   }
 }
 
-TEST(EvalEnginePacked, PackedSweepMatchesPerRequestBatches) {
-  // Cross-request lane packing: evalPacked fuses all points' misses into
-  // one dispatch (lanes may mix sizings mid-chunk), yet results, stats,
-  // and the ledger must be exactly what the same engine produces for one
-  // evalBatch per point. A duplicated point exercises the cross-point
-  // duplicate rule against the sequential engine's plain cache hit.
-  const auto& reg = circuits::Registry::global();
-  const auto problem =
-      reg.makeProblem("two_stage_opamp", pvt::nineCornerSet(1.1));
-  auto points = probeSizings(problem.space, 3);
-  points.push_back(points[0]);  // packed: cross-point dup; sequential: hits
-  std::vector<std::size_t> cornerIdx(problem.corners.size());
-  for (std::size_t i = 0; i < cornerIdx.size(); ++i) cornerIdx[i] = i;
-
-  for (const std::size_t threads : {1u, 2u, 4u}) {
-    const EvalEngineConfig cfg{/*cacheEvals=*/true, threads,
-                               /*recordLedger=*/true, /*batchedSim=*/true};
-    EvalEngine packed(problem, cfg);
-    EvalEngine sequential(problem, cfg);
-
-    const auto flat =
-        packed.evalPacked(points, cornerIdx, pvt::BlockKind::kSearch);
-    ASSERT_EQ(flat.size(), points.size() * cornerIdx.size());
-    std::vector<core::EvalResult> ref;
-    for (const auto& p : points) {
-      const auto r = sequential.evalBatch(cornerIdx, p, pvt::BlockKind::kSearch);
-      ref.insert(ref.end(), r.begin(), r.end());
-    }
-
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-      ASSERT_EQ(ref[i].ok, flat[i].ok) << "slot " << i << " threads " << threads;
-      ASSERT_EQ(ref[i].failure, flat[i].failure);
-      ASSERT_EQ(ref[i].measurements.size(), flat[i].measurements.size());
-      for (std::size_t m = 0; m < ref[i].measurements.size(); ++m)
-        ASSERT_TRUE(sameBits(ref[i].measurements[m], flat[i].measurements[m]))
-            << "slot " << i << " meas " << m << " threads " << threads;
-    }
-
-    const EvalStats& sp = packed.stats();
-    const EvalStats& ss = sequential.stats();
-    EXPECT_EQ(sp.requests, ss.requests);
-    EXPECT_EQ(sp.simulated, ss.simulated);
-    EXPECT_EQ(sp.cacheHits, ss.cacheHits);
-    EXPECT_EQ(sp.sharedHits, ss.sharedHits);
-    EXPECT_EQ(sp.attempts, ss.attempts);
-    EXPECT_EQ(sp.faults, ss.faults);
-    EXPECT_EQ(sp.failures, ss.failures);
-    EXPECT_EQ(sp.backoffUnits, ss.backoffUnits);
-
-    const auto& lp = packed.ledger().blocks();
-    const auto& ls = sequential.ledger().blocks();
-    ASSERT_EQ(lp.size(), ls.size());
-    for (std::size_t i = 0; i < lp.size(); ++i) {
-      EXPECT_EQ(lp[i].cornerIndex, ls[i].cornerIndex) << "block " << i;
-      EXPECT_EQ(lp[i].kind, ls[i].kind);
-      EXPECT_EQ(lp[i].meetsSpec, ls[i].meetsSpec);
-      EXPECT_EQ(lp[i].cached, ls[i].cached);
-      EXPECT_EQ(lp[i].failed, ls[i].failed);
-    }
-  }
-}
-
 /// Deterministic synthetic backend that records how the engine shaped its
 /// dispatch: every evaluateBatch chunk size in call order, plus the number
 /// of scalar calls. Results are a pure function of (sizes[0], corner) so

@@ -14,10 +14,9 @@
 // bytes for the same scenario from a fresh daemon (serve/report.hpp is the
 // single renderer behind both), with progress notes on stderr only.
 //
-// Legacy spellings (`trdse <scenario-file> [flags]`, `trdse --list`) still
-// work and print a deprecation note on stderr; stdout stays byte-identical
-// to the subcommand form, so scripted pipelines keep diffing clean while
-// they migrate.
+// Any other first argument — including the pre-subcommand spellings
+// `trdse <scenario-file>` and `trdse --list` — is a usage error: usage on
+// stderr, nothing on stdout, exit code 2.
 //
 // Exit codes (run/resume/submit): 0 all jobs completed; 1 error; 2 usage;
 // 4 completed but at least one job quarantined (`# quarantined` line on
@@ -50,8 +49,7 @@ int usage() {
       stderr,
       "usage: trdse run <scenario-file> [--threads N] [--workers N] "
       "[--slice N]\n"
-      "                 [--offload-chunks] [--no-shared-cache] "
-      "[--journal PATH] [--resume]\n"
+      "                 [--no-shared-cache] [--journal PATH] [--resume]\n"
       "       trdse resume <scenario-file> [same flags; implies --resume]\n"
       "       trdse serve --socket PATH --state-dir DIR [--cache-shards N]\n"
       "                 [--cache-budget-bytes N] [--max-submission-bytes N]\n"
@@ -92,7 +90,7 @@ int cmdRun(ArgCursor args, bool resume) {
   std::string path;
   bool haveThreads = false, haveWorkers = false, haveSlice = false;
   std::uint64_t threads = 0, workers = 0, slice = 0;
-  bool noSharedCache = false, offloadChunks = false;
+  bool noSharedCache = false;
   std::string journalPath;
   std::vector<std::pair<std::uint64_t, std::uint64_t>> debugKills;
   try {
@@ -100,8 +98,6 @@ int cmdRun(ArgCursor args, bool resume) {
     while (!args.done()) {
       if (args.flag("--no-shared-cache")) {
         noSharedCache = true;
-      } else if (args.flag("--offload-chunks")) {
-        offloadChunks = true;
       } else if (args.flag("--resume")) {
         resume = true;
       } else if (args.option("--journal", journalPath)) {
@@ -144,7 +140,6 @@ int cmdRun(ArgCursor args, bool resume) {
     if (haveWorkers) scenario.workers = workers;
     if (haveSlice) scenario.slice = slice;  // 0 rejected by the Scheduler
     if (noSharedCache) scenario.sharedCache = false;
-    if (offloadChunks) scenario.offloadChunks = true;
     if (!journalPath.empty()) scenario.journalPath = journalPath;
     if (resume && scenario.journalPath.empty()) {
       std::fprintf(stderr,
@@ -398,17 +393,6 @@ int main(int argc, char** argv) {
     usage();
     return 0;
   }
-  // Legacy trdse_cli spellings: `trdse --list` and `trdse <scenario> [flags]`.
-  // Deprecation notes go to stderr only — stdout must stay byte-identical to
-  // the subcommand form so scripted diffs keep passing mid-migration.
-  if (cmd == "--list") {
-    std::fprintf(stderr,
-                 "trdse: note: `--list` is deprecated; use `trdse list`\n");
-    return cmdList();
-  }
-  std::fprintf(stderr,
-               "trdse: note: the flag-style invocation is deprecated; use "
-               "`trdse run %s ...` (see docs/SERVICE.md)\n",
-               cmd.c_str());
-  return cmdRun(ArgCursor(argc, argv, 1), false);
+  std::fprintf(stderr, "trdse: unknown command: %s\n", cmd.c_str());
+  return usage();
 }
