@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark): throughput of the substrates every
 // experiment sits on — circuit evaluations, surrogate training, LU solves,
-// and the batched-vs-per-sample surrogate scoring path that dominates the
-// trust-region planner's inner loop (Algorithm 1 line 10).
+// and the batched surrogate scoring pass that dominates the trust-region
+// planner's inner loop (Algorithm 1 line 10).
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -184,10 +184,7 @@ BENCHMARK(BM_SurrogateEpoch);
 // ---- Surrogate MC-candidate scoring: the planner's hot path ----
 //
 // Per TRM step the explorer scores mcSamples = 800 trust-region candidates on
-// the NN surrogate. The per-sample baseline calls predict() 800 times (one
-// matVec per layer each); the batched path runs the whole block through one
-// GEMM per layer. Same math, same results — the ratio of these two benches is
-// the planner-throughput speedup.
+// the NN surrogate, running the whole block through one GEMM per layer.
 
 constexpr std::size_t kPlanDim = 9;    // two-stage opamp sizing dim
 constexpr std::size_t kPlanMeas = 4;   // gain/ugbw/pm/power
@@ -213,24 +210,6 @@ linalg::Matrix makeCandidateBlock(std::mt19937_64& rng) {
   for (std::size_t i = 0; i < block.size(); ++i) block.data()[i] = d(rng);
   return block;
 }
-
-void BM_SurrogateScorePerSample(benchmark::State& state) {
-  std::mt19937_64 rng(11);
-  const core::SpiceSurrogate sur = makeTrainedSurrogate(rng);
-  const linalg::Matrix block = makeCandidateBlock(rng);
-  linalg::Vector x(kPlanDim);
-  for (auto _ : state) {
-    double acc = 0.0;
-    for (std::size_t s = 0; s < kPlanBatch; ++s) {
-      x.assign(block.row(s), block.row(s) + kPlanDim);
-      acc += sur.predict(x)[0];
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          kPlanBatch);
-}
-BENCHMARK(BM_SurrogateScorePerSample);
 
 void BM_SurrogateScoreBatch(benchmark::State& state) {
   std::mt19937_64 rng(11);
@@ -359,11 +338,9 @@ BENCHMARK(BM_PvtRepeatedSweepCached);
 //
 // A synthetic rollout shaped like the two-stage-opamp sizing environment
 // (9 heads, obsDim 9 + 2*4) runs through the full PPO epoch schedule and a
-// full TRPO natural-gradient update, per-sample vs batched. Parameters and
-// optimizer/RNG state are re-seeded every iteration so both variants of a
-// pair traverse the same update trajectory (the per-sample/batched parity
-// itself is asserted bitwise in tests/rl_batch_test.cpp); the ratio of each
-// pair is the pure update-math speedup of the batched engine.
+// full TRPO natural-gradient update. Parameters and optimizer/RNG state are
+// re-seeded every iteration so every iteration times the same update
+// trajectory.
 
 constexpr std::size_t kRlHeads = 9;
 constexpr std::size_t kRlObsDim = kRlHeads + 2 * 4;
@@ -395,7 +372,7 @@ rl::FlatRollout makeSyntheticRollout(std::size_t n, std::uint64_t seed) {
   return f;
 }
 
-void runPpoUpdateBench(benchmark::State& state, bool batched) {
+void BM_PpoUpdateBatched(benchmark::State& state) {
   rl::PpoConfig cfg;
   cfg.hidden = kRlHidden;
   const rl::FlatRollout data = makeSyntheticRollout(cfg.horizon, 41);
@@ -411,30 +388,17 @@ void runPpoUpdateBench(benchmark::State& state, bool batched) {
     nn::AdamOptimizer policyOpt(cfg.learningRate);
     nn::AdamOptimizer criticOpt(cfg.valueLearningRate);
     std::mt19937_64 rng(55);
-    if (batched) {
-      rl::ppoUpdateBatched(policy, critic, policyOpt, criticOpt, data, cfg,
-                           rng);
-    } else {
-      rl::ppoUpdatePerSample(policy, critic, policyOpt, criticOpt, data, cfg,
-                             rng);
-    }
+    rl::ppoUpdateBatched(policy, critic, policyOpt, criticOpt, data, cfg,
+                         rng);
     benchmark::DoNotOptimize(policy.getParameters().data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(cfg.epochs * data.size()));
 }
 
-void BM_PpoUpdatePerSample(benchmark::State& state) {
-  runPpoUpdateBench(state, false);
-}
-BENCHMARK(BM_PpoUpdatePerSample);
-
-void BM_PpoUpdateBatched(benchmark::State& state) {
-  runPpoUpdateBench(state, true);
-}
 BENCHMARK(BM_PpoUpdateBatched);
 
-void runTrpoUpdateBench(benchmark::State& state, bool batched) {
+void BM_TrpoUpdateBatched(benchmark::State& state) {
   rl::TrpoConfig cfg;
   cfg.hidden = kRlHidden;
   const rl::FlatRollout data = makeSyntheticRollout(cfg.horizon, 61);
@@ -449,20 +413,12 @@ void runTrpoUpdateBench(benchmark::State& state, bool batched) {
     critic.setParameters(phi0);
     nn::AdamOptimizer criticOpt(cfg.valueLearningRate);
     benchmark::DoNotOptimize(
-        rl::trpoUpdate(policy, critic, criticOpt, data, cfg, batched));
+        rl::trpoUpdate(policy, critic, criticOpt, data, cfg));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(data.size()));
 }
 
-void BM_TrpoUpdatePerSample(benchmark::State& state) {
-  runTrpoUpdateBench(state, false);
-}
-BENCHMARK(BM_TrpoUpdatePerSample);
-
-void BM_TrpoUpdateBatched(benchmark::State& state) {
-  runTrpoUpdateBench(state, true);
-}
 BENCHMARK(BM_TrpoUpdateBatched);
 
 // ---- Scheduler throughput: 8 concurrent jobs, shared vs. private cache

@@ -100,12 +100,9 @@ with open(out_path, "w") as f:
     f.write("\n")
 print(f"wrote {out_path} ({len(result)} benchmarks)")
 
-# Batched-vs-per-sample pairs: the perf trajectory the batched engine is
-# graded on (see docs/BENCHMARKS.md).
+# Scalar/serial-vs-batched/parallel pairs: the perf trajectory the batched
+# engines are graded on (see docs/BENCHMARKS.md).
 pairs = [
-    ("surrogate MC scoring", "BM_SurrogateScorePerSample", "BM_SurrogateScoreBatch"),
-    ("PPO update epochs", "BM_PpoUpdatePerSample", "BM_PpoUpdateBatched"),
-    ("TRPO update", "BM_TrpoUpdatePerSample", "BM_TrpoUpdateBatched"),
     ("PVT corner sweep", "BM_PvtCornerSweepSerial", "BM_PvtCornerSweepPooled"),
     ("DC operating point (lane batch)", "BM_DcOpScalar", "BM_DcOpBatch"),
     ("ICO transient (lane batch)", "BM_IcoEvalTransient", "BM_IcoEvalTransientBatched"),
@@ -118,7 +115,9 @@ pairs = [
 # dropped) would freeze its BENCH_micro.json entry at the last written value
 # and quietly hollow out the speedup pairs above — fail loudly instead.
 required = sorted({name for _, slow, fast in pairs for name in (slow, fast)}
-                  | {"BM_WireRoundTrip", "BM_SurrogateEpoch"})
+                  | {"BM_WireRoundTrip", "BM_SurrogateEpoch",
+                     "BM_SurrogateScoreBatch", "BM_PpoUpdateBatched",
+                     "BM_TrpoUpdateBatched"})
 missing = [name for name in required if name not in result]
 if missing:
     sys.exit(f"error: expected benchmark(s) missing from {raw_path}: "

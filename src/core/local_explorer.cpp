@@ -47,30 +47,9 @@ void LocalExplorer::planCandidates(const linalg::Vector& centerUnit,
   std::uniform_real_distribution<double> unif(-1.0, 1.0);
   const std::size_t dim = space_.dim();
 
-  if (!config_.batchedPlanning) {
-    // Per-sample reference path (kept for equivalence tests / benchmarks).
-    for (std::size_t s = 0; s < config_.mcSamples; ++s) {
-      linalg::Vector u(dim);
-      for (std::size_t d = 0; d < dim; ++d) {
-        u[d] = std::clamp(centerUnit[d] + radius * unif(rng_), 0.0, 1.0);
-      }
-      // Score on the *snapped* candidate so the planned point is the
-      // simulated point.
-      const linalg::Vector snapped = space_.fromUnitSnapped(u);
-      const linalg::Vector su = space_.toUnit(snapped);
-      const linalg::Vector pred = surrogate_.predict(su);
-      const double v = value_.plannerScore(pred);
-      if (v > bestModelValue) {
-        bestModelValue = v;
-        bestUnit = su;
-      }
-    }
-    return;
-  }
-
-  // Batched path: generate the candidate block with the identical RNG draw
-  // order, score every row in one batched surrogate pass, then rank with the
-  // same strict-> selection — candidate choice matches the loop above.
+  // Generate the candidate block, score every row in one batched surrogate
+  // pass (one GEMM per layer), then keep the first strict maximum. Candidates
+  // are scored *snapped*, so the planned point is the simulated point.
   candBuf_.resize(config_.mcSamples, dim);
   linalg::Vector u(dim);
   for (std::size_t s = 0; s < config_.mcSamples; ++s) {

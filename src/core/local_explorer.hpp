@@ -39,11 +39,6 @@ struct LocalExplorerConfig {
   /// re-enter training whenever the region slides over them.
   double localityFactor = 3.0;
   std::size_t minLocalSamples = 12;  ///< fall back to nearest-K when sparse
-  /// Score all mcSamples trust-region candidates in one batched surrogate
-  /// pass (one GEMM per layer) instead of per-sample predict calls. Candidate
-  /// generation and selection are bitwise-equivalent to the per-sample loop;
-  /// the flag exists for the equivalence tests and A/B benchmarks.
-  bool batchedPlanning = true;
   /// Memoize evaluations on snapped grid indices through the eval engine:
   /// re-simulating an already-visited grid point costs zero EDA blocks. The
   /// seeded SearchOutcome (iterations included — the budget is charged per
@@ -130,9 +125,9 @@ class LocalExplorer {
   void trainLocal(const linalg::Vector& centerUnit, double radius);
 
   /// Algorithm 1 line 10: sample mcSamples candidates in the trust region,
-  /// score them on the surrogate (batched or per-sample per config), return
-  /// the best unit-space point and its model score. `bestUnit` stays empty
-  /// when nothing scored.
+  /// score them on the surrogate in one batched pass, return the best
+  /// unit-space point and its model score. `bestUnit` stays empty when
+  /// nothing scored.
   void planCandidates(const linalg::Vector& centerUnit, double radius,
                       linalg::Vector& bestUnit, double& bestModelValue);
 

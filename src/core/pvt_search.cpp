@@ -263,69 +263,47 @@ void PvtSearch::stepTrm() {
   }
 
   // Plan: maximize the minimum predicted value across the pool. The
-  // candidate block is generated once (same RNG draw order as the
-  // per-sample loop) and every active corner's surrogate scores it in one
-  // batched pass; per-candidate scores then reduce by min across corners.
+  // candidate block is generated once and every active corner's surrogate
+  // scores it in one batched pass; per-candidate scores then reduce by min
+  // across corners.
   const double radius = tr_.radius();
   const std::size_t mcSamples = config_.explorer.mcSamples;
   std::uniform_real_distribution<double> unif(-1.0, 1.0);
-  linalg::Vector bestUnit;
-  double bestModelValue = -std::numeric_limits<double>::infinity();
-  if (config_.explorer.batchedPlanning) {
-    candBuf_.resize(mcSamples, dim);
-    linalg::Vector u(dim);
+  candBuf_.resize(mcSamples, dim);
+  linalg::Vector u(dim);
+  for (std::size_t s = 0; s < mcSamples; ++s) {
+    for (std::size_t d = 0; d < dim; ++d)
+      u[d] = std::clamp(center_.unit[d] + radius * unif(rng_), 0.0, 1.0);
+    const linalg::Vector snapped = problem_.space.fromUnitSnapped(u);
+    const linalg::Vector su = problem_.space.toUnit(snapped);
+    std::copy(su.begin(), su.end(), candBuf_.row(s));
+  }
+  poolScores_.assign(mcSamples, std::numeric_limits<double>::infinity());
+  for (auto& cs : active_) {
+    if (!cs.surrogate) continue;
+    cs.surrogate->predictBatch(candBuf_, predBuf_);
     for (std::size_t s = 0; s < mcSamples; ++s) {
-      for (std::size_t d = 0; d < dim; ++d)
-        u[d] = std::clamp(center_.unit[d] + radius * unif(rng_), 0.0, 1.0);
-      const linalg::Vector snapped = problem_.space.fromUnitSnapped(u);
-      const linalg::Vector su = problem_.space.toUnit(snapped);
-      std::copy(su.begin(), su.end(), candBuf_.row(s));
-    }
-    poolScores_.assign(mcSamples, std::numeric_limits<double>::infinity());
-    for (auto& cs : active_) {
-      if (!cs.surrogate) continue;
-      cs.surrogate->predictBatch(candBuf_, predBuf_);
-      for (std::size_t s = 0; s < mcSamples; ++s) {
-        const double* pr = predBuf_.row(s);
-        rowScratch_.assign(pr, pr + predBuf_.cols());
-        poolScores_[s] =
-            std::min(poolScores_[s], value_.plannerScore(rowScratch_));
-      }
-    }
-    std::size_t bestIdx = mcSamples;
-    for (std::size_t s = 0; s < mcSamples; ++s) {
-      const double v = poolScores_[s];
-      if (v < std::numeric_limits<double>::infinity() && v > bestModelValue) {
-        bestModelValue = v;
-        bestIdx = s;
-      }
-    }
-    if (bestIdx < mcSamples) {
-      const double* cr = candBuf_.row(bestIdx);
-      bestUnit.assign(cr, cr + dim);
-    }
-  } else {
-    for (std::size_t s = 0; s < mcSamples; ++s) {
-      linalg::Vector u(dim);
-      for (std::size_t d = 0; d < dim; ++d)
-        u[d] = std::clamp(center_.unit[d] + radius * unif(rng_), 0.0, 1.0);
-      const linalg::Vector snapped = problem_.space.fromUnitSnapped(u);
-      const linalg::Vector su = problem_.space.toUnit(snapped);
-      double v = std::numeric_limits<double>::infinity();
-      for (auto& cs : active_) {
-        if (!cs.surrogate) continue;
-        v = std::min(v, value_.plannerScore(cs.surrogate->predict(su)));
-      }
-      if (v < std::numeric_limits<double>::infinity() && v > bestModelValue) {
-        bestModelValue = v;
-        bestUnit = su;
-      }
+      const double* pr = predBuf_.row(s);
+      rowScratch_.assign(pr, pr + predBuf_.cols());
+      poolScores_[s] =
+          std::min(poolScores_[s], value_.plannerScore(rowScratch_));
     }
   }
-  if (bestUnit.empty()) {
+  std::size_t bestIdx = mcSamples;
+  double bestModelValue = -std::numeric_limits<double>::infinity();
+  for (std::size_t s = 0; s < mcSamples; ++s) {
+    const double v = poolScores_[s];
+    if (v < std::numeric_limits<double>::infinity() && v > bestModelValue) {
+      bestModelValue = v;
+      bestIdx = s;
+    }
+  }
+  if (bestIdx == mcSamples) {
     phase_ = Phase::kEpisodeStart;
     return;
   }
+  const double* bestRow = candBuf_.row(bestIdx);
+  const linalg::Vector bestUnit(bestRow, bestRow + dim);
 
   double predictedCenter = std::numeric_limits<double>::infinity();
   for (auto& cs : active_) {
@@ -419,7 +397,9 @@ std::vector<std::pair<std::string, std::string>> fingerprintOf(
   fp.emplace_back("stagnationPatience", std::to_string(e.stagnationPatience));
   fp.emplace_back("localityFactor", num(e.localityFactor));
   fp.emplace_back("minLocalSamples", std::to_string(e.minLocalSamples));
-  fp.emplace_back("batchedPlanning", e.batchedPlanning ? "1" : "0");
+  // A constant, not an option: checkpoints and journals written before the
+  // per-sample planner was removed carry it and must still restore.
+  fp.emplace_back("batchedPlanning", "1");
   fp.emplace_back("cacheEvals",
                   (config.cacheEvals && e.cacheEvals) ? "1" : "0");
   const TrustRegionConfig& t = e.trustRegion;

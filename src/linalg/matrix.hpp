@@ -145,18 +145,6 @@ std::vector<T> matVec(const MatrixT<T>& a, const std::vector<T>& x) {
   return y;
 }
 
-/// y = A^T * x.
-template <typename T>
-std::vector<T> matTVec(const MatrixT<T>& a, const std::vector<T>& x) {
-  assert(a.rows() == x.size());
-  std::vector<T> y(a.cols(), T{});
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    const T* ar = a.row(r);
-    for (std::size_t c = 0; c < a.cols(); ++c) y[c] += ar[c] * x[r];
-  }
-  return y;
-}
-
 // ---- Batched GEMM kernels ----
 //
 // The hot path of the trust-region planner scores ~800 candidates per step on
@@ -176,8 +164,8 @@ std::vector<T> matTVec(const MatrixT<T>& a, const std::vector<T>& x) {
 /// registers (two independent 8-wide FMA chains per tile) instead of
 /// read-modify-writing C rows through the cache. Per element, products are
 /// still added in ascending-k order one at a time — the association order of
-/// matVec — keeping batched inference bitwise identical to the per-sample
-/// path. Remainder rows/columns fall back to plain ascending-k dots.
+/// matVec — keeping batched inference bitwise identical to single-row
+/// predict(). Remainder rows/columns fall back to plain ascending-k dots.
 namespace detail {
 
 /// Shared micro-kernel body: C = A·B (+ optional row-broadcast bias when

@@ -27,38 +27,12 @@ void DenseLayer::initWeights(std::mt19937_64& rng) {
   std::fill(bias_.begin(), bias_.end(), 0.0);
 }
 
-linalg::Vector DenseLayer::forward(const linalg::Vector& x) {
-  assert(x.size() == inDim());
-  lastInput_ = x;
-  lastPre_ = matVec(weights_, x);
-  for (std::size_t i = 0; i < bias_.size(); ++i) lastPre_[i] += bias_[i];
-  lastOut_ = lastPre_;
-  applyActivation(act_, lastOut_);
-  return lastOut_;
-}
-
 linalg::Vector DenseLayer::predict(const linalg::Vector& x) const {
   assert(x.size() == inDim());
   linalg::Vector y = matVec(weights_, x);
   for (std::size_t i = 0; i < bias_.size(); ++i) y[i] += bias_[i];
   applyActivation(act_, y);
   return y;
-}
-
-linalg::Vector DenseLayer::backward(const linalg::Vector& gradOut) {
-  assert(gradOut.size() == outDim());
-  linalg::Vector g = gradOut;
-  applyActivationGrad(act_, lastPre_, lastOut_, g);
-  // Accumulate parameter gradients: dW += g * x^T, db += g.
-  for (std::size_t r = 0; r < weights_.rows(); ++r) {
-    const double gr = g[r];
-    if (gr == 0.0) continue;
-    double* gw = gradW_.row(r);
-    for (std::size_t c = 0; c < weights_.cols(); ++c) gw[c] += gr * lastInput_[c];
-    gradB_[r] += gr;
-  }
-  // dL/dx = W^T g.
-  return matTVec(weights_, g);
 }
 
 const linalg::Matrix& DenseLayer::forwardBatch(const linalg::Matrix& x) {
@@ -82,8 +56,8 @@ void DenseLayer::backwardBatch(const linalg::Matrix& gradOut) {
   assert(gradOut.rows() == lastInputB_.rows() && "forwardBatch must precede");
   gradOutB_ = gradOut;
   applyActivationGrad(act_, lastPreB_, lastOutB_, gradOutB_);
-  // dW += G^T X and db += column sums of G in one pass, both accumulated
-  // sample-ascending so gradients match the per-sample backward() exactly.
+  // dW += G^T X and db += column sums of G in one pass, both accumulated in
+  // ascending row order.
   gemmAtBAccum(gradOutB_, lastInputB_, gradW_, gradB_);
 }
 

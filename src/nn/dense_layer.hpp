@@ -1,8 +1,8 @@
 // A fully-connected layer with a fused activation: y = act(W x + b).
 //
-// Gradients accumulate into gradW/gradB until zeroGrad() or an optimizer step
-// consumes them; backward() returns dL/dx so layers can be chained by the
-// owning Mlp.
+// Training runs on row-major batches: gradients accumulate into gradW/gradB
+// until zeroGrad() or an optimizer step consumes them, and inputGradBatch()
+// yields dL/dX so the owning Mlp can chain layers.
 #pragma once
 
 #include <cstdint>
@@ -13,8 +13,8 @@
 
 namespace trdse::nn {
 
-/// One fully-connected layer (y = act(W x + b)) with per-sample and batched
-/// paths.
+/// One fully-connected layer (y = act(W x + b)): single-row inference plus
+/// batched forward/backward.
 class DenseLayer {
  public:
   /// Construct with zeroed weights; call initWeights() before use.
@@ -23,21 +23,14 @@ class DenseLayer {
   /// Xavier/Glorot uniform for tanh/identity, He for relu.
   void initWeights(std::mt19937_64& rng);
 
-  /// Forward pass; caches input/pre-activation/output for backward().
-  linalg::Vector forward(const linalg::Vector& x);
-
-  /// Forward without touching caches (safe for concurrent inference reuse
-  /// of the math, though the object itself is not thread-safe).
+  /// Single-row stateless inference (bitwise identical to one row of
+  /// predictBatch).
   linalg::Vector predict(const linalg::Vector& x) const;
-
-  /// Given dL/dy, accumulate dL/dW and dL/db, return dL/dx.
-  linalg::Vector backward(const linalg::Vector& gradOut);
 
   // ---- Batched path (batch × dim row-major matrices) ----
   //
-  // One GEMM per layer instead of one matVec per sample; the cache matrices
-  // persist across calls, so the steady-state training/planning loop does not
-  // allocate. Results are bitwise identical to the per-sample methods.
+  // One GEMM per layer; the cache matrices persist across calls, so the
+  // steady-state training/planning loop does not allocate.
 
   /// Batched forward; caches the batch for backwardBatch(). Returns the
   /// activation matrix (valid until the next batched call on this layer).
@@ -50,7 +43,7 @@ class DenseLayer {
                     linalg::Matrix& packBuf) const;
 
   /// Batched backward for the most recent forwardBatch(): accumulates dL/dW
-  /// and dL/db over the batch (row order, matching per-sample accumulation).
+  /// and dL/db over the batch in ascending row order.
   void backwardBatch(const linalg::Matrix& gradOut);
 
   /// dL/dX for the most recent backwardBatch(), computed on demand so the
@@ -93,11 +86,6 @@ class DenseLayer {
   linalg::Matrix gradW_;
   linalg::Vector gradB_;
   Activation act_;
-
-  // Caches from the most recent forward().
-  linalg::Vector lastInput_;
-  linalg::Vector lastPre_;
-  linalg::Vector lastOut_;
 
   // Caches/workspaces for the batched path; capacity persists across calls.
   linalg::Matrix lastInputB_;

@@ -53,23 +53,6 @@ double categoricalEntropy(const linalg::Vector& logits) {
   return h;
 }
 
-double categoricalKl(const linalg::Vector& logitsP, const linalg::Vector& logitsQ) {
-  assert(logitsP.size() == logitsQ.size());
-  const linalg::Vector lp = logSoftmax(logitsP);
-  const linalg::Vector lq = logSoftmax(logitsQ);
-  double kl = 0.0;
-  for (std::size_t i = 0; i < lp.size(); ++i) kl += std::exp(lp[i]) * (lp[i] - lq[i]);
-  return kl;
-}
-
-linalg::Vector logProbGrad(const linalg::Vector& logits, std::size_t action) {
-  assert(action < logits.size());
-  linalg::Vector g = softmax(logits);
-  for (double& v : g) v = -v;
-  g[action] += 1.0;
-  return g;
-}
-
 void softmaxSegments(const linalg::Matrix& logits, std::size_t segment,
                      linalg::Matrix& out) {
   assert(segment > 0 && logits.cols() % segment == 0);

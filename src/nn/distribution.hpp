@@ -23,21 +23,15 @@ std::size_t argmaxIndex(const linalg::Vector& logits);
 /// Entropy of softmax(logits).
 double categoricalEntropy(const linalg::Vector& logits);
 
-/// KL( softmax(p) || softmax(q) ).
-double categoricalKl(const linalg::Vector& logitsP, const linalg::Vector& logitsQ);
-
-/// d/dlogits of log softmax(logits)[action]  ==  onehot(action) - softmax.
-linalg::Vector logProbGrad(const linalg::Vector& logits, std::size_t action);
-
 // ---- Batched (row-major matrix) variants ----
 //
 // Each row of `logits` holds the head-major logits of one sample: a
 // concatenation of `segment`-wide blocks, one block per categorical head.
-// The transforms apply independently per block with the exact arithmetic of
-// the per-vector functions above (max-shift, ascending-index summation), so
-// the batched results are bitwise identical to calling the scalar versions
-// block by block. Outputs are resized by the callee; capacity persists, so
-// steady-state calls reuse storage.
+// The transforms apply independently per block with the arithmetic of the
+// per-vector functions above (max-shift, ascending-index summation), so the
+// log-probs a trainer derives in batch equal, bit for bit, the ones its
+// rollouts recorded one sample at a time. Outputs are resized by the callee;
+// capacity persists, so steady-state calls reuse storage.
 
 /// Per-block softmax of every row of `logits` into `out`.
 /// @param segment block width; must divide logits.cols() evenly.

@@ -25,22 +25,10 @@ std::size_t Mlp::outputDim() const {
   return layers_.empty() ? 0 : layers_.back().outDim();
 }
 
-linalg::Vector Mlp::forward(const linalg::Vector& x) {
-  linalg::Vector h = x;
-  for (auto& layer : layers_) h = layer.forward(h);
-  return h;
-}
-
 linalg::Vector Mlp::predict(const linalg::Vector& x) const {
   linalg::Vector h = x;
   for (const auto& layer : layers_) h = layer.predict(h);
   return h;
-}
-
-linalg::Vector Mlp::backward(const linalg::Vector& gradOut) {
-  linalg::Vector g = gradOut;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) g = it->backward(g);
-  return g;
 }
 
 const linalg::Matrix& Mlp::forwardBatch(const linalg::Matrix& x) {

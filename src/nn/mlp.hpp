@@ -21,8 +21,8 @@ struct MlpConfig {
   Activation output = Activation::kIdentity;  ///< output-layer activation
 };
 
-/// A plain fully-connected network with per-sample and batched
-/// forward/backward paths that are bitwise identical to each other.
+/// A plain fully-connected network: single-row inference plus batched
+/// forward/backward training passes.
 class Mlp {
  public:
   Mlp() = default;
@@ -36,15 +36,9 @@ class Mlp {
   /// The shape this network was built from.
   const MlpConfig& config() const { return config_; }
 
-  /// Forward pass that caches activations; pair with backward().
-  linalg::Vector forward(const linalg::Vector& x);
-
-  /// Stateless inference (no caches touched).
+  /// Single-row stateless inference (no caches touched); bitwise identical
+  /// to one row of predictBatch().
   linalg::Vector predict(const linalg::Vector& x) const;
-
-  /// Backpropagate dL/dy from the most recent forward(); parameter gradients
-  /// accumulate until zeroGrad(). Returns dL/dx.
-  linalg::Vector backward(const linalg::Vector& gradOut);
 
   // ---- Batched path (batch × dim matrices; one GEMM per layer) ----
 

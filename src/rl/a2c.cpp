@@ -9,37 +9,6 @@
 
 namespace trdse::rl {
 
-void a2cUpdatePerSample(nn::Mlp& policy, nn::Mlp& critic,
-                        nn::Optimizer& policyOpt, nn::Optimizer& criticOpt,
-                        const FlatRollout& data, const A2cConfig& cfg) {
-  const std::size_t n = data.size();
-  if (n == 0) return;
-  const std::size_t obsDim = data.observations.cols();
-  constexpr std::size_t apH = SizingEnv::kActionsPerHead;
-  policy.zeroGrad();
-  critic.zeroGrad();
-  const double invN = 1.0 / static_cast<double>(n);
-  linalg::Vector obs(obsDim);
-  for (std::size_t i = 0; i < n; ++i) {
-    obs.assign(data.observations.row(i), data.observations.row(i) + obsDim);
-    // Policy: maximize A*logpi + beta*H  ->  descend on its negation.
-    const linalg::Vector logits = policy.forward(obs);
-    linalg::Vector g = jointLogProbGrad(logits, data.actions[i], apH);
-    const linalg::Vector eg = jointEntropyGrad(logits, apH);
-    for (std::size_t k = 0; k < g.size(); ++k)
-      g[k] = -(data.advantages[i] * g[k] + cfg.entropyCoeff * eg[k]) * invN;
-    policy.backward(g);
-
-    // Critic: MSE to the GAE return.
-    const linalg::Vector vp = critic.forward(obs);
-    critic.backward({2.0 * (vp[0] - data.returns[i]) * invN});
-  }
-  nn::clipGradNorm(policy, cfg.maxGradNorm);
-  nn::clipGradNorm(critic, cfg.maxGradNorm);
-  policyOpt.step(policy);
-  criticOpt.step(critic);
-}
-
 void a2cUpdateBatched(nn::Mlp& policy, nn::Mlp& critic,
                       nn::Optimizer& policyOpt, nn::Optimizer& criticOpt,
                       const FlatRollout& data, const A2cConfig& cfg) {
@@ -107,7 +76,9 @@ RlTrainOutcome trainA2c(const core::SizingProblem& problem, const A2cConfig& cfg
         << " gae=" << cfg.gaeLambda << " lr=" << cfg.learningRate
         << " vlr=" << cfg.valueLearningRate << " ent=" << cfg.entropyCoeff
         << " clip=" << cfg.maxGradNorm << " hidden=" << cfg.hidden
-        << " batched=" << cfg.batchedTraining;
+        // A constant, not an option: checkpoints written before the
+        // per-sample update was removed carry it and must still restore.
+        << " batched=1";
   TrainerState snapshot;
   snapshot.algo = "a2c";
   snapshot.fingerprint =
@@ -133,11 +104,7 @@ RlTrainOutcome trainA2c(const core::SizingProblem& problem, const A2cConfig& cfg
 
     const FlatRollout data =
         flattenRollouts(buffers, cfg.gamma, cfg.gaeLambda);
-    if (cfg.batchedTraining) {
-      a2cUpdateBatched(policy, critic, policyOpt, criticOpt, data, cfg);
-    } else {
-      a2cUpdatePerSample(policy, critic, policyOpt, criticOpt, data, cfg);
-    }
+    a2cUpdateBatched(policy, critic, policyOpt, criticOpt, data, cfg);
     ++updates;
     if (cfg.checkpointEvery != 0 && !cfg.checkpointPath.empty() &&
         updates % cfg.checkpointEvery == 0)

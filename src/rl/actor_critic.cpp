@@ -40,82 +40,6 @@ std::vector<std::size_t> greedyPolicy(const nn::Mlp& policy,
   return actions;
 }
 
-double jointLogProb(const linalg::Vector& logits,
-                    const std::vector<std::size_t>& actions,
-                    std::size_t actionsPerHead) {
-  double lp = 0.0;
-  for (std::size_t h = 0; h < actions.size(); ++h)
-    lp += nn::logSoftmax(headLogits(logits, h, actionsPerHead))[actions[h]];
-  return lp;
-}
-
-double jointEntropy(const linalg::Vector& logits, std::size_t actionsPerHead) {
-  const std::size_t heads = logits.size() / actionsPerHead;
-  double e = 0.0;
-  for (std::size_t h = 0; h < heads; ++h)
-    e += nn::categoricalEntropy(headLogits(logits, h, actionsPerHead));
-  return e;
-}
-
-linalg::Vector jointLogProbGrad(const linalg::Vector& logits,
-                                const std::vector<std::size_t>& actions,
-                                std::size_t actionsPerHead) {
-  linalg::Vector g(logits.size(), 0.0);
-  for (std::size_t h = 0; h < actions.size(); ++h) {
-    const linalg::Vector hg =
-        nn::logProbGrad(headLogits(logits, h, actionsPerHead), actions[h]);
-    for (std::size_t a = 0; a < actionsPerHead; ++a)
-      g[h * actionsPerHead + a] = hg[a];
-  }
-  return g;
-}
-
-linalg::Vector jointEntropyGrad(const linalg::Vector& logits,
-                                std::size_t actionsPerHead) {
-  // dH/dlogit_i = -p_i * (log p_i + H) for each head independently.
-  const std::size_t heads = logits.size() / actionsPerHead;
-  linalg::Vector g(logits.size(), 0.0);
-  for (std::size_t h = 0; h < heads; ++h) {
-    const linalg::Vector hl = headLogits(logits, h, actionsPerHead);
-    const linalg::Vector lp = nn::logSoftmax(hl);
-    double ent = 0.0;
-    for (double v : lp) ent -= std::exp(v) * v;
-    for (std::size_t a = 0; a < actionsPerHead; ++a) {
-      const double p = std::exp(lp[a]);
-      g[h * actionsPerHead + a] = -p * (lp[a] + ent);
-    }
-  }
-  return g;
-}
-
-double jointKl(const linalg::Vector& oldLogits, const linalg::Vector& newLogits,
-               std::size_t actionsPerHead) {
-  assert(oldLogits.size() == newLogits.size());
-  const std::size_t heads = oldLogits.size() / actionsPerHead;
-  double kl = 0.0;
-  for (std::size_t h = 0; h < heads; ++h)
-    kl += nn::categoricalKl(headLogits(oldLogits, h, actionsPerHead),
-                            headLogits(newLogits, h, actionsPerHead));
-  return kl;
-}
-
-linalg::Vector jointKlGrad(const linalg::Vector& oldLogits,
-                           const linalg::Vector& newLogits,
-                           std::size_t actionsPerHead) {
-  assert(oldLogits.size() == newLogits.size());
-  const std::size_t heads = oldLogits.size() / actionsPerHead;
-  linalg::Vector g(newLogits.size(), 0.0);
-  for (std::size_t h = 0; h < heads; ++h) {
-    const linalg::Vector pNew =
-        nn::softmax(headLogits(newLogits, h, actionsPerHead));
-    const linalg::Vector pOld =
-        nn::softmax(headLogits(oldLogits, h, actionsPerHead));
-    for (std::size_t a = 0; a < actionsPerHead; ++a)
-      g[h * actionsPerHead + a] = pNew[a] - pOld[a];
-  }
-  return g;
-}
-
 void jointLogProbRowsFromTable(
     const linalg::Matrix& logSoftmaxTable,
     const std::vector<std::vector<std::size_t>>& actions,
@@ -180,9 +104,7 @@ double sumJointKlRowsFromTables(const linalg::Matrix& logSoftmaxOld,
   for (std::size_t r = 0; r < logSoftmaxOld.rows(); ++r) {
     const double* lpr = logSoftmaxOld.row(r);
     const double* lqr = logSoftmaxNew.row(r);
-    // Per-head subtotals first, then head-ascending accumulation — the exact
-    // association order of jointKl over categoricalKl, so sums stay bitwise
-    // identical to the per-sample path.
+    // Per-head subtotals first, then head-ascending accumulation.
     double rowKl = 0.0;
     for (std::size_t h = 0; h < heads; ++h) {
       double headKl = 0.0;
@@ -205,52 +127,6 @@ void jointKlGradRowsFromTables(const linalg::Matrix& softmaxOld,
   out.resize(softmaxNew.rows(), softmaxNew.cols());
   for (std::size_t i = 0; i < out.size(); ++i)
     out.data()[i] = softmaxNew.data()[i] - softmaxOld.data()[i];
-}
-
-linalg::Vector jointLogProbRows(
-    const linalg::Matrix& logits,
-    const std::vector<std::vector<std::size_t>>& actions,
-    std::size_t actionsPerHead) {
-  linalg::Matrix lp;
-  nn::logSoftmaxSegments(logits, actionsPerHead, lp);
-  linalg::Vector out;
-  jointLogProbRowsFromTable(lp, actions, actionsPerHead, out);
-  return out;
-}
-
-void jointLogProbGradRows(const linalg::Matrix& logits,
-                          const std::vector<std::vector<std::size_t>>& actions,
-                          std::size_t actionsPerHead, linalg::Matrix& out) {
-  linalg::Matrix p;
-  nn::softmaxSegments(logits, actionsPerHead, p);
-  jointLogProbGradRowsFromTable(p, actions, actionsPerHead, out);
-}
-
-void jointEntropyGradRows(const linalg::Matrix& logits,
-                          std::size_t actionsPerHead, linalg::Matrix& out) {
-  linalg::Matrix lp;
-  nn::logSoftmaxSegments(logits, actionsPerHead, lp);
-  jointEntropyGradRowsFromTable(lp, actionsPerHead, out);
-}
-
-double sumJointKlRows(const linalg::Matrix& oldLogits,
-                      const linalg::Matrix& newLogits,
-                      std::size_t actionsPerHead) {
-  linalg::Matrix lp;
-  linalg::Matrix lq;
-  nn::logSoftmaxSegments(oldLogits, actionsPerHead, lp);
-  nn::logSoftmaxSegments(newLogits, actionsPerHead, lq);
-  return sumJointKlRowsFromTables(lp, lq, actionsPerHead);
-}
-
-void jointKlGradRows(const linalg::Matrix& oldLogits,
-                     const linalg::Matrix& newLogits,
-                     std::size_t actionsPerHead, linalg::Matrix& out) {
-  linalg::Matrix pOld;
-  linalg::Matrix pNew;
-  nn::softmaxSegments(oldLogits, actionsPerHead, pOld);
-  nn::softmaxSegments(newLogits, actionsPerHead, pNew);
-  jointKlGradRowsFromTables(pOld, pNew, out);
 }
 
 nn::Mlp makePolicyNet(std::size_t obsDim, std::size_t heads,

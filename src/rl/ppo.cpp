@@ -12,60 +12,6 @@
 
 namespace trdse::rl {
 
-void ppoUpdatePerSample(nn::Mlp& policy, nn::Mlp& critic,
-                        nn::Optimizer& policyOpt, nn::Optimizer& criticOpt,
-                        const FlatRollout& data, const PpoConfig& cfg,
-                        std::mt19937_64& rng) {
-  const std::size_t n = data.size();
-  if (n == 0) return;
-  const std::size_t obsDim = data.observations.cols();
-  constexpr std::size_t apH = SizingEnv::kActionsPerHead;
-
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  linalg::Vector obs(obsDim);
-  for (std::size_t epoch = 0; epoch < cfg.epochs; ++epoch) {
-    std::shuffle(order.begin(), order.end(), rng);
-    for (std::size_t start = 0; start < order.size(); start += cfg.minibatch) {
-      const std::size_t end = std::min(order.size(), start + cfg.minibatch);
-      const double invB = 1.0 / static_cast<double>(end - start);
-      policy.zeroGrad();
-      critic.zeroGrad();
-      for (std::size_t k = start; k < end; ++k) {
-        const std::size_t i = order[k];
-        obs.assign(data.observations.row(i),
-                   data.observations.row(i) + obsDim);
-        const double advantage = data.advantages[i];
-
-        const linalg::Vector logits = policy.forward(obs);
-        const double newLp = jointLogProb(logits, data.actions[i], apH);
-        const double ratio = std::exp(newLp - data.logProbs[i]);
-        // Clipped surrogate: gradient flows only when unclipped term is
-        // the active minimum.
-        const bool clipped =
-            (advantage > 0.0 && ratio > 1.0 + cfg.clipRatio) ||
-            (advantage < 0.0 && ratio < 1.0 - cfg.clipRatio);
-        linalg::Vector g(logits.size(), 0.0);
-        if (!clipped) {
-          g = jointLogProbGrad(logits, data.actions[i], apH);
-          for (double& gv : g) gv *= ratio * advantage;
-        }
-        const linalg::Vector eg = jointEntropyGrad(logits, apH);
-        for (std::size_t j = 0; j < g.size(); ++j)
-          g[j] = -(g[j] + cfg.entropyCoeff * eg[j]) * invB;
-        policy.backward(g);
-
-        const linalg::Vector vp = critic.forward(obs);
-        critic.backward({2.0 * (vp[0] - data.returns[i]) * invB});
-      }
-      nn::clipGradNorm(policy, cfg.maxGradNorm);
-      nn::clipGradNorm(critic, cfg.maxGradNorm);
-      policyOpt.step(policy);
-      criticOpt.step(critic);
-    }
-  }
-}
-
 void ppoUpdateBatched(nn::Mlp& policy, nn::Mlp& critic,
                       nn::Optimizer& policyOpt, nn::Optimizer& criticOpt,
                       const FlatRollout& data, const PpoConfig& cfg,
@@ -120,8 +66,7 @@ void ppoUpdateBatched(nn::Mlp& policy, nn::Mlp& critic,
         const bool clipped =
             (advantage > 0.0 && ratio > 1.0 + cfg.clipRatio) ||
             (advantage < 0.0 && ratio < 1.0 - cfg.clipRatio);
-        // ratio * advantage is folded into one factor first, matching the
-        // per-sample path's association order exactly.
+        // ratio * advantage is folded into one factor first.
         const double scale = clipped ? 0.0 : ratio * advantage;
         double* gr = g.row(r);
         const double* er = eg.row(r);
@@ -177,7 +122,9 @@ RlTrainOutcome trainPpo(const core::SizingProblem& problem, const PpoConfig& cfg
         << " gae=" << cfg.gaeLambda << " clipRatio=" << cfg.clipRatio
         << " lr=" << cfg.learningRate << " vlr=" << cfg.valueLearningRate
         << " ent=" << cfg.entropyCoeff << " clip=" << cfg.maxGradNorm
-        << " hidden=" << cfg.hidden << " batched=" << cfg.batchedTraining;
+        << " hidden=" << cfg.hidden
+        // Kept for checkpoint compatibility, as in trainA2c.
+        << " batched=1";
   TrainerState snapshot;
   snapshot.algo = "ppo";
   snapshot.fingerprint =
@@ -204,13 +151,8 @@ RlTrainOutcome trainPpo(const core::SizingProblem& problem, const PpoConfig& cfg
 
     const FlatRollout data =
         flattenRollouts(buffers, cfg.gamma, cfg.gaeLambda);
-    if (cfg.batchedTraining) {
-      ppoUpdateBatched(policy, critic, policyOpt, criticOpt, data, cfg,
-                       shuffleRng);
-    } else {
-      ppoUpdatePerSample(policy, critic, policyOpt, criticOpt, data, cfg,
-                         shuffleRng);
-    }
+    ppoUpdateBatched(policy, critic, policyOpt, criticOpt, data, cfg,
+                     shuffleRng);
     ++updates;
     if (cfg.checkpointEvery != 0 && !cfg.checkpointPath.empty() &&
         updates % cfg.checkpointEvery == 0)

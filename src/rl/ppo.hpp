@@ -1,9 +1,8 @@
 // Proximal Policy Optimization (Schulman et al., 2017) — Table I baseline.
 // Clipped-surrogate objective with GAE, multiple epochs of shuffled
 // mini-batches per rollout, entropy bonus and gradient clipping. Rollouts
-// come from a ParallelRolloutCollector; each mini-batch runs either as true
-// batched forward/backward passes or as the legacy per-sample loop
-// (`batchedTraining`), with both paths bitwise identical.
+// come from a ParallelRolloutCollector; each mini-batch runs as one batched
+// forward/backward pass per network.
 #pragma once
 
 #include <random>
@@ -29,8 +28,6 @@ struct PpoConfig {
   double entropyCoeff = 0.01;       ///< entropy-bonus weight
   double maxGradNorm = 0.5;         ///< L2 gradient clip threshold
   std::size_t hidden = 64;          ///< hidden width of policy/critic MLPs
-  /// Batched mini-batch passes (bitwise identical to the per-sample path).
-  bool batchedTraining = true;
   /// Parallel rollout environments. With 1 the collection loop is serial,
   /// but runs are NOT bitwise comparable to the pre-collector PPO trainer:
   /// that trainer drew mini-batch shuffles from the action-sampling RNG,
@@ -60,18 +57,11 @@ struct PpoConfig {
 RlTrainOutcome trainPpo(const core::SizingProblem& problem, const PpoConfig& cfg,
                         std::size_t maxSimulations);
 
-/// All PPO epochs/mini-batches for one rollout — the legacy per-sample
-/// reference path (exposed for parity tests and benchmarks). `rng` drives
-/// the mini-batch shuffles; pass equal-state generators to the two variants
-/// to compare their update traces.
-void ppoUpdatePerSample(nn::Mlp& policy, nn::Mlp& critic,
-                        nn::Optimizer& policyOpt, nn::Optimizer& criticOpt,
-                        const FlatRollout& data, const PpoConfig& cfg,
-                        std::mt19937_64& rng);
-
-/// Batched equivalent of ppoUpdatePerSample: each mini-batch is gathered
-/// into matrices and runs one forwardBatch/backwardBatch pass per network.
-/// Bitwise identical to the per-sample path.
+/// All PPO epochs/mini-batches for one rollout. `rng` drives the mini-batch
+/// shuffles. Each mini-batch is gathered into matrices and runs one
+/// forwardBatch/backwardBatch pass per network, descending on the mean of
+/// -(min(ratio * A, clip(ratio) * A) + entropyCoeff * H) for the policy and
+/// (V - R)^2 for the critic.
 void ppoUpdateBatched(nn::Mlp& policy, nn::Mlp& critic,
                       nn::Optimizer& policyOpt, nn::Optimizer& criticOpt,
                       const FlatRollout& data, const PpoConfig& cfg,

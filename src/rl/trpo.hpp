@@ -7,9 +7,8 @@
 // products (finite-difference of the KL gradient), followed by a backtracking
 // line search enforcing the KL constraint and surrogate improvement. Every
 // rollout-wide pass (surrogate gradient, KL gradient inside the CG
-// Fisher-vector product, mean KL, surrogate value, critic regression) runs
-// either as one batched GEMM pass or as the legacy per-sample loop
-// (`batchedTraining`), with both paths bitwise identical.
+// Fisher-vector product, mean KL, surrogate value, critic regression) is one
+// batched GEMM pass over the whole rollout.
 #pragma once
 
 #include "core/problem.hpp"
@@ -32,8 +31,6 @@ struct TrpoConfig {
   double valueLearningRate = 1e-3;  ///< critic Adam step size
   std::size_t valueEpochs = 5;      ///< critic regression epochs per rollout
   std::size_t hidden = 64;          ///< hidden width of policy/critic MLPs
-  /// Batched rollout-wide passes (bitwise identical to per-sample).
-  bool batchedTraining = true;
   /// Parallel rollout environments (1 reproduces the pre-collector serial
   /// trainer bitwise).
   std::size_t numEnvs = 1;
@@ -63,13 +60,13 @@ RlTrainOutcome trainTrpo(const core::SizingProblem& problem,
 
 /// One full TRPO update (natural-gradient policy step via CG on
 /// Fisher-vector products + backtracking line search, then critic
-/// regression) over a flattened rollout. `batched` selects the batched or
-/// the legacy per-sample math — the two produce bitwise-identical parameter
-/// traces. Returns whether the line search accepted a policy step (the
-/// update is skipped entirely when the surrogate gradient or the CG
-/// curvature degenerates, matching the serial trainer). Exposed for parity
-/// tests and benchmarks.
+/// regression) over a flattened rollout. Returns whether the line search
+/// accepted a policy step: an accepted step keeps the mean KL(old || new)
+/// within 1.5 * maxKl and strictly raises the surrogate E[ratio * A]; a
+/// rejected one leaves the policy parameters unchanged. The update is
+/// skipped entirely when the surrogate gradient or the CG curvature
+/// degenerates.
 bool trpoUpdate(nn::Mlp& policy, nn::Mlp& critic, nn::Optimizer& criticOpt,
-                const FlatRollout& data, const TrpoConfig& cfg, bool batched);
+                const FlatRollout& data, const TrpoConfig& cfg);
 
 }  // namespace trdse::rl

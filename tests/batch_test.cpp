@@ -1,8 +1,8 @@
-// Equivalence and correctness tests for the batched inference/training path:
-// the blocked GEMM kernels, the batched layer/network APIs, batched surrogate
-// scoring, batched trust-region planning, and the thread-parallel PVT
-// evaluation pipeline. The batched code is designed to be *bitwise* identical
-// to the per-sample path; the tolerances here (1e-12) are an upper bound.
+// Correctness tests for the batched inference/training path: the blocked
+// GEMM kernels against naive references, the batched layer/network APIs
+// against single-row predict() and finite differences, batched surrogate
+// scoring, golden seeded outcomes of the batched trust-region planners, and
+// the thread-parallel PVT evaluation pipeline.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -199,7 +199,11 @@ TEST(MlpBatch, PredictBatchMatchesPredict) {
   }
 }
 
-TEST(MlpBatch, ForwardBackwardBatchMatchesPerSampleGradients) {
+/// Finite-difference oracle for the batched training pass: forwardBatch must
+/// reproduce predict() row by row, and backwardBatch's accumulated gradient
+/// for a 10-row batch must match numerical differentiation of the linear
+/// functional L = sum_r <g_r, f(x_r)> whose dL/dY is the injected `g`.
+TEST(MlpBatch, ForwardBackwardBatchMatchesFiniteDifference) {
   std::mt19937_64 rng(13);
   std::uniform_real_distribution<double> d(-1.0, 1.0);
   nn::MlpConfig cfg;
@@ -210,33 +214,39 @@ TEST(MlpBatch, ForwardBackwardBatchMatchesPerSampleGradients) {
   for (std::size_t i = 0; i < x.size(); ++i) x.data()[i] = d(rng);
   for (std::size_t i = 0; i < g.size(); ++i) g.data()[i] = d(rng);
 
-  nn::Mlp a(cfg, 21);
-  nn::Mlp b(cfg, 21);
-
-  a.zeroGrad();
-  const Matrix& outB = a.forwardBatch(x);
-  a.backwardBatch(g);
-
-  b.zeroGrad();
-  Matrix outS(batch, 3);
+  nn::Mlp net(cfg, 21);
+  net.zeroGrad();
+  const Matrix& out = net.forwardBatch(x);
   for (std::size_t r = 0; r < batch; ++r) {
-    const Vector xi(x.row(r), x.row(r) + 4);
-    const Vector gi(g.row(r), g.row(r) + 3);
-    const Vector oi = b.forward(xi);
-    b.backward(gi);
-    std::copy(oi.begin(), oi.end(), outS.row(r));
+    const Vector yr = net.predict(Vector(x.row(r), x.row(r) + 4));
+    for (std::size_t c = 0; c < 3; ++c) EXPECT_EQ(out(r, c), yr[c]);
   }
+  net.backwardBatch(g);
+  const Vector analytic = net.getGradients();
 
-  for (std::size_t i = 0; i < outB.size(); ++i)
-    EXPECT_NEAR(outB.data()[i], outS.data()[i], 1e-12);
-  const Vector ga = a.getGradients();
-  const Vector gb = b.getGradients();
-  ASSERT_EQ(ga.size(), gb.size());
-  for (std::size_t i = 0; i < ga.size(); ++i) EXPECT_NEAR(ga[i], gb[i], 1e-12);
+  const auto functional = [&](const nn::Mlp& m) {
+    const Matrix y = m.predictBatch(x);
+    double s = 0.0;
+    for (std::size_t i = 0; i < y.size(); ++i) s += g.data()[i] * y.data()[i];
+    return s;
+  };
+  const Vector p0 = net.getParameters();
+  constexpr double kEps = 1e-6;
+  for (std::size_t i = 0; i < p0.size(); i += 5) {
+    Vector p = p0;
+    p[i] += kEps;
+    net.setParameters(p);
+    const double plus = functional(net);
+    p[i] -= 2 * kEps;
+    net.setParameters(p);
+    const double minus = functional(net);
+    EXPECT_NEAR(analytic[i], (plus - minus) / (2 * kEps), 1e-6) << "param " << i;
+  }
 }
 
 /// The per-sample trainer the batched trainEpochMse replaced, kept here as
-/// the reference implementation.
+/// the reference implementation: every sample runs its own one-row
+/// forwardBatch/backwardBatch pass, accumulating into the same gradients.
 nn::TrainStats refTrainEpochMse(nn::Mlp& net, nn::Optimizer& opt,
                                 const std::vector<Vector>& inputs,
                                 const std::vector<Vector>& targets,
@@ -249,16 +259,22 @@ nn::TrainStats refTrainEpochMse(nn::Mlp& net, nn::Optimizer& opt,
   std::shuffle(order.begin(), order.end(), rng);
   double lossSum = 0.0;
   std::size_t seen = 0;
+  Matrix xRow(1, inputs.front().size());
+  Matrix gRow(1, targets.front().size());
   for (std::size_t start = 0; start < order.size(); start += batchSize) {
     const std::size_t end = std::min(order.size(), start + batchSize);
     const double invB = 1.0 / static_cast<double>(end - start);
     net.zeroGrad();
     for (std::size_t k = start; k < end; ++k) {
-      const Vector pred = net.forward(inputs[order[k]]);
+      const Vector& x = inputs[order[k]];
+      std::copy(x.begin(), x.end(), xRow.row(0));
+      const Matrix& out = net.forwardBatch(xRow);
+      const Vector pred(out.row(0), out.row(0) + out.cols());
       lossSum += nn::mseLoss(pred, targets[order[k]]);
       Vector grad = nn::mseGrad(pred, targets[order[k]]);
       for (double& v : grad) v *= invB;
-      net.backward(grad);
+      std::copy(grad.begin(), grad.end(), gRow.row(0));
+      net.backwardBatch(gRow);
       ++seen;
     }
     opt.step(net);
@@ -268,7 +284,7 @@ nn::TrainStats refTrainEpochMse(nn::Mlp& net, nn::Optimizer& opt,
   return stats;
 }
 
-TEST(MlpBatch, BatchedTrainingMatchesPerSampleTraining) {
+TEST(MlpBatch, BatchedTrainingMatchesRowByRowTraining) {
   std::mt19937_64 dataRng(31);
   std::uniform_real_distribution<double> d(-1.0, 1.0);
   std::vector<Vector> xs;
@@ -369,32 +385,26 @@ core::SizingProblem sphereCsp(double radius) {
   return p;
 }
 
-/// The tentpole equivalence guarantee: batched planning must reproduce the
-/// per-sample explorer's seeded SearchOutcome exactly — same solution, same
-/// iteration count, same trace.
-TEST(LocalExplorerBatch, BatchedPlanningReproducesPerSampleOutcome) {
+/// Golden seeded outcome of the batched trust-region planner. The constants
+/// were recorded when the per-sample planner still existed and both paths
+/// produced them, with and without -march=native; any change to candidate
+/// generation, scoring or selection moves them.
+TEST(LocalExplorerBatch, SeededOutcomeMatchesGolden) {
   const auto prob = sphereCsp(0.04);
   const core::ValueFunction value(prob.measurementNames, prob.specs);
   auto eval = [&](const Vector& x) { return prob.evaluate(x, prob.corners[0]); };
-
-  core::SearchOutcome outcomes[2];
-  for (int batched = 0; batched < 2; ++batched) {
-    core::LocalExplorerConfig cfg;
-    cfg.seed = 29;
-    cfg.batchedPlanning = batched == 1;
-    core::LocalExplorer agent(prob.space, value, eval, cfg);
-    outcomes[batched] = agent.run(1500);
-  }
-  const auto& legacy = outcomes[0];
-  const auto& fast = outcomes[1];
-  EXPECT_EQ(fast.solved, legacy.solved);
-  EXPECT_EQ(fast.iterations, legacy.iterations);
-  EXPECT_EQ(fast.bestValue, legacy.bestValue);
-  EXPECT_EQ(fast.sizes, legacy.sizes);
-  EXPECT_EQ(fast.trace.bestValueHistory, legacy.trace.bestValueHistory);
-  EXPECT_EQ(fast.trace.radiusHistory, legacy.trace.radiusHistory);
-  EXPECT_EQ(fast.trace.acceptedSteps, legacy.trace.acceptedSteps);
-  EXPECT_EQ(fast.trace.rejectedSteps, legacy.trace.rejectedSteps);
+  core::LocalExplorerConfig cfg;
+  cfg.seed = 29;
+  core::LocalExplorer agent(prob.space, value, eval, cfg);
+  const core::SearchOutcome out = agent.run(1500);
+  EXPECT_TRUE(out.solved);
+  EXPECT_EQ(out.iterations, 25u);
+  EXPECT_EQ(out.sizes, (Vector{0.63, 0.33, 0.61}));
+  EXPECT_EQ(out.bestValue, 0.0);
+  EXPECT_EQ(out.trace.radiusHistory.size(), 13u);
+  EXPECT_EQ(out.trace.acceptedSteps, 7u);
+  EXPECT_EQ(out.trace.rejectedSteps, 5u);
+  EXPECT_EQ(out.trace.restarts, 0u);
 }
 
 core::SizingProblem multiCornerCsp() {
@@ -419,21 +429,19 @@ core::SizingProblem multiCornerCsp() {
   return p;
 }
 
-TEST(PvtSearchBatch, BatchedPlanningReproducesPerSampleOutcome) {
+/// Golden seeded outcome of PvtSearch's pooled (min-over-corners) batched
+/// planner, recorded like LocalExplorerBatch.SeededOutcomeMatchesGolden.
+TEST(PvtSearchBatch, SeededOutcomeMatchesGolden) {
   const auto prob = multiCornerCsp();
-  core::PvtSearchOutcome outcomes[2];
-  for (int batched = 0; batched < 2; ++batched) {
-    core::PvtSearchConfig cfg;
-    cfg.seed = 21;
-    cfg.explorer = core::autoSchedule(prob, cfg.seed);
-    cfg.explorer.batchedPlanning = batched == 1;
-    core::PvtSearch search(prob, cfg);
-    outcomes[batched] = search.run(6000);
-  }
-  EXPECT_EQ(outcomes[1].solved, outcomes[0].solved);
-  EXPECT_EQ(outcomes[1].totalSims, outcomes[0].totalSims);
-  EXPECT_EQ(outcomes[1].sizes, outcomes[0].sizes);
-  EXPECT_EQ(outcomes[1].cornersActivated, outcomes[0].cornersActivated);
+  core::PvtSearchConfig cfg;
+  cfg.seed = 21;
+  cfg.explorer = core::autoSchedule(prob, cfg.seed);
+  core::PvtSearch search(prob, cfg);
+  const core::PvtSearchOutcome out = search.run(6000);
+  EXPECT_TRUE(out.solved);
+  EXPECT_EQ(out.totalSims, 14u);
+  EXPECT_EQ(out.sizes, (Vector{0.34, 0.57}));
+  EXPECT_EQ(out.cornersActivated, 1u);
 }
 
 // ---------- thread pool ----------

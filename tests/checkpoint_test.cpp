@@ -220,8 +220,8 @@ TEST(NnSerialize, AdamMomentsMidTrainingRoundTrip) {
   std::mt19937_64 rng(7);
   std::uniform_real_distribution<double> unif(-1.0, 1.0);
   for (int step = 0; step < 3; ++step) {
-    net.forward({unif(rng), unif(rng), unif(rng)});
-    net.backward({unif(rng), unif(rng)});
+    net.forwardBatch(linalg::Matrix{{unif(rng), unif(rng), unif(rng)}});
+    net.backwardBatch(linalg::Matrix{{unif(rng), unif(rng)}});
     opt.step(net);
   }
   std::stringstream ss;
@@ -234,11 +234,13 @@ TEST(NnSerialize, AdamMomentsMidTrainingRoundTrip) {
 
   // The restored optimizer must continue the exact update stream.
   nn::Mlp netB = net;
-  net.forward({0.1, 0.2, 0.3});
-  net.backward({1.0, -1.0});
+  const linalg::Matrix x{{0.1, 0.2, 0.3}};
+  const linalg::Matrix g{{1.0, -1.0}};
+  net.forwardBatch(x);
+  net.backwardBatch(g);
   opt.step(net);
-  netB.forward({0.1, 0.2, 0.3});
-  netB.backward({1.0, -1.0});
+  netB.forwardBatch(x);
+  netB.backwardBatch(g);
   restored.step(netB);
   EXPECT_EQ(net.getParameters(), netB.getParameters());
 }

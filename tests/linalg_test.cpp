@@ -32,13 +32,6 @@ TEST(Matrix, MatVec) {
   EXPECT_DOUBLE_EQ(y[1], 7.0);
 }
 
-TEST(Matrix, MatTVec) {
-  Matrix m{{1.0, 2.0}, {3.0, 4.0}};
-  const Vector y = matTVec(m, {1.0, 1.0});
-  EXPECT_DOUBLE_EQ(y[0], 4.0);
-  EXPECT_DOUBLE_EQ(y[1], 6.0);
-}
-
 TEST(Matrix, MatMulIdentity) {
   Matrix a{{2.0, -1.0}, {0.5, 3.0}};
   Matrix eye{{1.0, 0.0}, {0.0, 1.0}};

@@ -5,9 +5,13 @@
 // cross-job shared hits actually occurring.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <random>
+#include <sstream>
 #include <stdexcept>
 
 #include "circuits/registry.hpp"
@@ -379,6 +383,169 @@ TEST(Strategy, RandomSearchCheckpointRoundTrip) {
   wrongKind.writeFile(path);
   EXPECT_THROW(resumed.restoreCheckpoint(path), io::CheckpointError);
   std::remove(path.c_str());
+}
+
+// ---- Seeded mutation fuzz: scenario text and strategy checkpoints --------
+
+/// One seeded mutation of `text`: flip 1-4 bytes, truncate, splice with
+/// another sample, or (for line-oriented text) drop, duplicate, or swap
+/// lines and replace a value with a hostile token.
+std::string mutate(const std::string& text, const std::vector<std::string>& all,
+                   std::mt19937_64& rng, bool lineOps) {
+  std::string m = text;
+  if (m.empty()) return m;
+  const std::uint64_t op = rng() % (lineOps ? 6 : 3);
+  switch (op) {
+    case 0:  // flip 1-4 bytes
+      for (std::uint64_t f = 0, n = 1 + rng() % 4; f < n; ++f)
+        m[rng() % m.size()] ^= static_cast<char>(1 + rng() % 255);
+      return m;
+    case 1:  // truncate
+      m.resize(rng() % m.size());
+      return m;
+    case 2: {  // splice: a prefix of this sample, a suffix of another
+      const std::string& other = all[rng() % all.size()];
+      return m.substr(0, rng() % (m.size() + 1)) +
+             other.substr(rng() % (other.size() + 1));
+    }
+    default:
+      break;
+  }
+  std::vector<std::string> lines;
+  std::istringstream in(m);
+  for (std::string l; std::getline(in, l);) lines.push_back(l);
+  if (lines.empty()) return m;
+  const std::size_t i = rng() % lines.size();
+  if (op == 3) {  // drop or duplicate a line
+    if (rng() % 2 == 0) {
+      lines.erase(lines.begin() + static_cast<long>(i));
+    } else {
+      lines.insert(lines.begin() + static_cast<long>(i), lines[i]);
+    }
+  } else if (op == 4) {  // swap two lines
+    std::swap(lines[i], lines[rng() % lines.size()]);
+  } else {  // replace the value after '=' with a hostile token
+    static const char* const kTokens[] = {
+        "", "-1", "0", "1e999", "-1e999", "nan", "inf", "0x10", "1.5",
+        "18446744073709551616", "99999999999999999999999", "yes", "[job]",
+        "=", " = = ", "two_stage_opamp", "pvt_search", "\t"};
+    const std::size_t eq = lines[i].find('=');
+    const std::string token = kTokens[rng() % std::size(kTokens)];
+    lines[i] = eq == std::string::npos ? token
+                                       : lines[i].substr(0, eq + 1) + token;
+  }
+  std::string out;
+  for (const std::string& l : lines) out += l + "\n";
+  return out;
+}
+
+std::vector<std::string> shippedScenarioTexts() {
+  std::vector<std::string> texts;
+  const std::filesystem::path dir =
+      std::filesystem::path(TRDSE_SOURCE_DIR) / "scenarios";
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() != ".scenario") continue;
+    std::ifstream f(entry.path());
+    std::ostringstream text;
+    text << f.rdbuf();
+    texts.push_back(text.str());
+  }
+  std::sort(texts.begin(), texts.end());  // directory order is unspecified
+  return texts;
+}
+
+TEST(ScenarioFuzz, ShippedScenariosParse) {
+  const std::vector<std::string> texts = shippedScenarioTexts();
+  ASSERT_GE(texts.size(), 3u);
+  for (const std::string& t : texts)
+    EXPECT_NO_THROW(parseScenarioText(t, "shipped"));
+}
+
+TEST(ScenarioFuzz, MutatedScenariosParseOrThrowInvalidArgument) {
+  // Every mutant of a shipped scenario must parse or throw
+  // std::invalid_argument naming the problem — out_of_range, length_error,
+  // bad_alloc, or a crash from a hostile value is a bug.
+  const std::vector<std::string> texts = shippedScenarioTexts();
+  std::mt19937_64 rng(20210705);
+  constexpr std::size_t kMutants = 4000;
+  std::size_t parsed = 0, rejected = 0;
+  for (std::size_t it = 0; it < kMutants; ++it) {
+    const std::string m =
+        mutate(texts[rng() % texts.size()], texts, rng, /*lineOps=*/true);
+    try {
+      parseScenarioText(m, "mutant");
+      ++parsed;
+    } catch (const std::invalid_argument&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutant " << it << " escaped as " << e.what() << "\n"
+                    << m;
+    }
+  }
+  EXPECT_EQ(parsed + rejected, kMutants);
+  EXPECT_GT(parsed, kMutants / 20);    // some mutants stay well-formed
+  EXPECT_GT(rejected, kMutants / 20);  // and many do not
+}
+
+/// Recompute a checkpoint container's body checksum (bytes 8-15 over the
+/// bytes from 16 on), so a mutant reaches the section parsers instead of
+/// stopping at the checksum.
+void reseal(std::string& blob) {
+  if (blob.size() < 16) return;
+  std::uint64_t sum = io::fnv1a64(blob.data() + 16, blob.size() - 16);
+  for (std::size_t b = 0; b < 8; ++b, sum >>= 8)
+    blob[8 + b] = static_cast<char>(sum & 0xff);
+}
+
+/// Mutate snapshots of `name` (taken at several points of a seeded run) and
+/// restore each into a fresh strategy: every mutant must restore or throw
+/// io::CheckpointError.
+void fuzzStrategyCheckpoints(const std::string& name,
+                             const core::SizingProblem& prob,
+                             const std::vector<std::size_t>& pauses,
+                             std::size_t mutants, std::uint64_t seed) {
+  std::vector<std::string> blobs;
+  for (const std::size_t pause : pauses) {
+    auto strat = opt::makeStrategy(name, prob, 7, 120);
+    strat->step(pause);
+    blobs.push_back(strat->saveCheckpointBlob());
+  }
+  for (const std::string& b : blobs) {
+    auto fresh = opt::makeStrategy(name, prob, 7, 120);
+    ASSERT_NO_THROW(fresh->restoreCheckpointBlob(b, "sample"));
+  }
+  std::mt19937_64 rng(seed);
+  std::size_t restored = 0, typed = 0;
+  for (std::size_t it = 0; it < mutants; ++it) {
+    std::string m =
+        mutate(blobs[rng() % blobs.size()], blobs, rng, /*lineOps=*/false);
+    if (rng() % 2 == 0) reseal(m);
+    auto fresh = opt::makeStrategy(name, prob, 7, 120);
+    try {
+      fresh->restoreCheckpointBlob(m, "mutant");
+      ++restored;
+    } catch (const io::CheckpointError&) {
+      ++typed;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << name << " mutant " << it << " escaped as " << e.what();
+    }
+  }
+  EXPECT_EQ(restored + typed, mutants);
+  EXPECT_GT(typed, mutants / 2);
+}
+
+TEST(CheckpointFuzz, MutatedPvtSearchBlobsRestoreOrThrowCheckpointError) {
+  core::SizingProblem prob = tinyGridProblem(0.02);
+  prob.corners = {{sim::ProcessCorner::kTT, 1.0, 27.0},
+                  {sim::ProcessCorner::kSS, 0.9, 125.0}};
+  fuzzStrategyCheckpoints("pvt_search", prob, {5, 30, 60}, 1500, 20210706);
+}
+
+TEST(CheckpointFuzz, MutatedRandomSearchBlobsRestoreOrThrowCheckpointError) {
+  core::SizingProblem prob = tinyGridProblem(0.02);
+  prob.corners = {{sim::ProcessCorner::kTT, 1.0, 27.0},
+                  {sim::ProcessCorner::kSS, 0.9, 125.0}};
+  fuzzStrategyCheckpoints("random_search", prob, {1, 41, 90}, 1500, 20210707);
 }
 
 // ---- Scheduler -----------------------------------------------------------

@@ -1,11 +1,15 @@
-// Parity and determinism tests for the batched multi-env RL training engine:
-// the segment softmax kernels, the row-batched joint log-prob/entropy/KL
-// helpers, per-sample vs batched A2C/PPO/TRPO updates (asserted *bitwise*
-// with EXPECT_EQ, not within a tolerance), end-to-end trainer parity, and
-// thread-count invariance of parallel rollout collection.
+// Oracle and determinism tests for the batched multi-env RL training engine:
+// the segment softmax kernels and the row-batched joint log-prob/entropy/KL
+// helpers against their per-head closed forms, each A2C/PPO update against
+// the finite-difference gradient of its loss, TRPO's trust-region contract,
+// seeded trainer determinism, and thread-count invariance of parallel
+// rollout collection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <numeric>
 #include <random>
 
 #include "nn/distribution.hpp"
@@ -53,7 +57,9 @@ TEST(DistributionBatch, SegmentOpsMatchScalarBitwise) {
   }
 }
 
-TEST(ActorCriticBatch, JointRowOpsMatchScalarBitwise) {
+/// The table helpers against their per-head closed forms, evaluated with the
+/// per-vector softmax/log-softmax on every (row, head) of a 23-row batch.
+TEST(ActorCriticBatch, TableRowOpsMatchPerHeadClosedForms) {
   std::mt19937_64 rng(7);
   const std::size_t heads = 4;
   const std::size_t n = 23;
@@ -66,35 +72,50 @@ TEST(ActorCriticBatch, JointRowOpsMatchScalarBitwise) {
     for (auto& v : a) v = act(rng);
   }
 
-  const Vector lps = jointLogProbRows(logits, actions, kApH);
+  Matrix sm, lsm, oldSm, oldLsm;
+  nn::softmaxSegments(logits, kApH, sm);
+  nn::logSoftmaxSegments(logits, kApH, lsm);
+  nn::softmaxSegments(oldLogits, kApH, oldSm);
+  nn::logSoftmaxSegments(oldLogits, kApH, oldLsm);
+  Vector lps;
   Matrix lpg, entg, klg;
-  jointLogProbGradRows(logits, actions, kApH, lpg);
-  jointEntropyGradRows(logits, kApH, entg);
-  jointKlGradRows(oldLogits, logits, kApH, klg);
-  const double klSum = sumJointKlRows(oldLogits, logits, kApH);
+  jointLogProbRowsFromTable(lsm, actions, kApH, lps);
+  jointLogProbGradRowsFromTable(sm, actions, kApH, lpg);
+  jointEntropyGradRowsFromTable(lsm, kApH, entg);
+  jointKlGradRowsFromTables(oldSm, sm, klg);
+  const double klSum = sumJointKlRowsFromTables(oldLsm, lsm, kApH);
 
   double refKlSum = 0.0;
   for (std::size_t r = 0; r < n; ++r) {
-    const Vector row(logits.row(r), logits.row(r) + logits.cols());
-    const Vector oldRow(oldLogits.row(r), oldLogits.row(r) + logits.cols());
-    EXPECT_EQ(lps[r], jointLogProb(row, actions[r], kApH));
-    const Vector g = jointLogProbGrad(row, actions[r], kApH);
-    const Vector eg = jointEntropyGrad(row, kApH);
-    const Vector kg = jointKlGrad(oldRow, row, kApH);
-    for (std::size_t j = 0; j < g.size(); ++j) {
-      EXPECT_EQ(lpg(r, j), g[j]);
-      EXPECT_EQ(entg(r, j), eg[j]);
-      EXPECT_EQ(klg(r, j), kg[j]);
+    double refLp = 0.0;
+    for (std::size_t h = 0; h < heads; ++h) {
+      const Vector hl(logits.row(r) + h * kApH, logits.row(r) + (h + 1) * kApH);
+      const Vector ho(oldLogits.row(r) + h * kApH,
+                      oldLogits.row(r) + (h + 1) * kApH);
+      const Vector p = nn::softmax(hl);
+      const Vector lp = nn::logSoftmax(hl);
+      const Vector po = nn::softmax(ho);
+      const Vector lpo = nn::logSoftmax(ho);
+      refLp += lp[actions[r][h]];
+      const double ent = nn::categoricalEntropy(hl);
+      for (std::size_t a = 0; a < kApH; ++a) {
+        const std::size_t j = h * kApH + a;
+        const double onehot = a == actions[r][h] ? 1.0 : 0.0;
+        EXPECT_NEAR(lpg(r, j), onehot - p[a], 1e-15);
+        EXPECT_NEAR(entg(r, j), -p[a] * (lp[a] + ent), 1e-15);
+        EXPECT_EQ(klg(r, j), p[a] - po[a]);
+        refKlSum += po[a] * (lpo[a] - lp[a]);
+      }
     }
-    refKlSum += jointKl(oldRow, row, kApH);
+    EXPECT_EQ(lps[r], refLp);
   }
-  EXPECT_EQ(klSum, refKlSum);
+  EXPECT_NEAR(klSum, refKlSum, 1e-12);
 }
 
-// ---------- update parity: per-sample vs batched, bitwise ----------
+// ---------- update oracles ----------
 
 /// Synthetic flattened rollout with the statistics the updates expect
-/// (normalized advantages, behavior log-probs near the policy's own).
+/// (normalized advantages, behavior log-probs near uniform).
 FlatRollout syntheticRollout(std::size_t n, std::size_t obsDim,
                              std::size_t heads, std::uint64_t seed) {
   std::mt19937_64 rng(seed);
@@ -122,86 +143,299 @@ FlatRollout syntheticRollout(std::size_t n, std::size_t obsDim,
   return f;
 }
 
-void expectParamsBitwiseEqual(const nn::Mlp& a, const nn::Mlp& b) {
-  const Vector pa = a.getParameters();
-  const Vector pb = b.getParameters();
-  ASSERT_EQ(pa.size(), pb.size());
-  for (std::size_t i = 0; i < pa.size(); ++i) EXPECT_EQ(pa[i], pb[i]);
+/// Joint log-prob and summed per-head entropy of sample i's recorded action,
+/// from single-row Mlp::predict and the per-vector distribution functions.
+struct RowPolicy {
+  double logProb = 0.0;
+  double entropy = 0.0;
+};
+
+RowPolicy rowPolicy(const nn::Mlp& policy, const FlatRollout& data,
+                    std::size_t i) {
+  const double* o = data.observations.row(i);
+  const Vector logits =
+      policy.predict(Vector(o, o + data.observations.cols()));
+  RowPolicy rp;
+  for (std::size_t h = 0; h < data.actions[i].size(); ++h) {
+    const Vector hl = headLogits(logits, h, kApH);
+    rp.logProb += nn::logSoftmax(hl)[data.actions[i][h]];
+    rp.entropy += nn::categoricalEntropy(hl);
+  }
+  return rp;
 }
 
-TEST(RlUpdateParity, A2cBatchedMatchesPerSampleBitwise) {
+/// Mean critic regression loss (V(s) - R)^2 over the rollout.
+double criticLoss(const nn::Mlp& critic, const FlatRollout& data) {
+  double s = 0.0;
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    const double* o = data.observations.row(i);
+    const double v =
+        critic.predict(Vector(o, o + data.observations.cols()))[0];
+    s += (v - data.returns[i]) * (v - data.returns[i]);
+  }
+  return s / static_cast<double>(data.size());
+}
+
+/// Central finite-difference check of `grad` (flat parameter layout) against
+/// `loss` around `net`'s current parameters, on every `stride`-th parameter.
+void expectGradientOfLoss(nn::Mlp& net, const Vector& grad,
+                          const std::function<double(const nn::Mlp&)>& loss,
+                          std::size_t stride) {
+  constexpr double kEps = 1e-6;
+  const Vector p0 = net.getParameters();
+  ASSERT_EQ(grad.size(), p0.size());
+  double maxAbs = 0.0;
+  for (double g : grad) maxAbs = std::max(maxAbs, std::abs(g));
+  ASSERT_GT(maxAbs, 1e-6) << "degenerate gradient: the oracle would be vacuous";
+  for (std::size_t i = 0; i < p0.size(); i += stride) {
+    Vector p = p0;
+    p[i] += kEps;
+    net.setParameters(p);
+    const double plus = loss(net);
+    p[i] -= 2 * kEps;
+    net.setParameters(p);
+    const double minus = loss(net);
+    const double numeric = (plus - minus) / (2 * kEps);
+    EXPECT_NEAR(grad[i], numeric, 1e-7 + 1e-6 * std::abs(numeric))
+        << "param " << i;
+  }
+  net.setParameters(p0);
+}
+
+/// Plain SGD at lr = 1 makes one optimizer step equal to minus the gradient
+/// it consumed: theta_after = theta_before - g.
+Vector stepGradient(const Vector& before, const Vector& after) {
+  Vector g(before.size());
+  for (std::size_t i = 0; i < g.size(); ++i) g[i] = before[i] - after[i];
+  return g;
+}
+
+/// A2C's update descends on mean -(A log pi + beta H) for the policy and on
+/// mean (V - R)^2 for the critic: with gradient clipping disabled, the step
+/// an lr = 1 SGD optimizer takes must equal the finite-difference gradient
+/// of those losses, recomputed from Mlp::predict.
+TEST(RlUpdateOracle, A2cStepIsGradientOfItsLoss) {
   const std::size_t heads = 6;
   const std::size_t obsDim = 14;
   A2cConfig cfg;
   cfg.hidden = 32;
+  cfg.maxGradNorm = 1e30;
   const FlatRollout data = syntheticRollout(48, obsDim, heads, 101);
 
-  nn::Mlp policyA = makePolicyNet(obsDim, heads, kApH, cfg.hidden, 5);
-  nn::Mlp policyB = makePolicyNet(obsDim, heads, kApH, cfg.hidden, 5);
-  nn::Mlp criticA = makeValueNet(obsDim, cfg.hidden, 6);
-  nn::Mlp criticB = makeValueNet(obsDim, cfg.hidden, 6);
-  nn::AdamOptimizer poA(cfg.learningRate), poB(cfg.learningRate);
-  nn::AdamOptimizer coA(cfg.valueLearningRate), coB(cfg.valueLearningRate);
+  nn::Mlp policy = makePolicyNet(obsDim, heads, kApH, cfg.hidden, 5);
+  nn::Mlp critic = makeValueNet(obsDim, cfg.hidden, 6);
+  const Vector theta0 = policy.getParameters();
+  const Vector phi0 = critic.getParameters();
+  nn::SgdOptimizer policyOpt(1.0);
+  nn::SgdOptimizer criticOpt(1.0);
+  a2cUpdateBatched(policy, critic, policyOpt, criticOpt, data, cfg);
+  const Vector gPolicy = stepGradient(theta0, policy.getParameters());
+  const Vector gCritic = stepGradient(phi0, critic.getParameters());
+  policy.setParameters(theta0);
+  critic.setParameters(phi0);
 
-  for (int step = 0; step < 4; ++step) {
-    a2cUpdatePerSample(policyA, criticA, poA, coA, data, cfg);
-    a2cUpdateBatched(policyB, criticB, poB, coB, data, cfg);
-  }
-  expectParamsBitwiseEqual(policyA, policyB);
-  expectParamsBitwiseEqual(criticA, criticB);
+  expectGradientOfLoss(
+      policy, gPolicy,
+      [&](const nn::Mlp& net) {
+        double s = 0.0;
+        for (std::size_t i = 0; i < data.size(); ++i) {
+          const RowPolicy rp = rowPolicy(net, data, i);
+          s -= data.advantages[i] * rp.logProb + cfg.entropyCoeff * rp.entropy;
+        }
+        return s / static_cast<double>(data.size());
+      },
+      7);
+  expectGradientOfLoss(
+      critic, gCritic,
+      [&](const nn::Mlp& net) { return criticLoss(net, data); }, 5);
 }
 
-TEST(RlUpdateParity, PpoBatchedMatchesPerSampleBitwise) {
+/// PPO's policy loss is mean -(min(r A, clip(r, 1 - eps, 1 + eps) A) + beta H)
+/// with r = exp(log pi - log pi_behavior). One epoch over one mini-batch that
+/// spans the rollout, with gradient clipping disabled and lr = 1 SGD, makes
+/// the step the gradient of that loss. Behavior log-probs are the policy's
+/// own plus noise, so some ratios fall outside the clip band and some inside.
+TEST(RlUpdateOracle, PpoStepIsGradientOfItsClippedLoss) {
+  const std::size_t heads = 5;
+  const std::size_t obsDim = 12;
+  PpoConfig cfg;
+  cfg.hidden = 32;
+  cfg.epochs = 1;
+  cfg.minibatch = 70;
+  cfg.maxGradNorm = 1e30;
+  FlatRollout data = syntheticRollout(70, obsDim, heads, 202);
+
+  nn::Mlp policy = makePolicyNet(obsDim, heads, kApH, cfg.hidden, 9);
+  nn::Mlp critic = makeValueNet(obsDim, cfg.hidden, 10);
+  std::mt19937_64 noiseRng(17);
+  std::uniform_real_distribution<double> noise(-0.4, 0.4);
+  std::size_t clipped = 0;
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data.logProbs[i] = rowPolicy(policy, data, i).logProb + noise(noiseRng);
+    const double r = std::exp(rowPolicy(policy, data, i).logProb -
+                              data.logProbs[i]);
+    if ((data.advantages[i] > 0.0 && r > 1.0 + cfg.clipRatio) ||
+        (data.advantages[i] < 0.0 && r < 1.0 - cfg.clipRatio))
+      ++clipped;
+  }
+  ASSERT_GT(clipped, 0u);
+  ASSERT_LT(clipped, data.size());
+
+  const Vector theta0 = policy.getParameters();
+  const Vector phi0 = critic.getParameters();
+  nn::SgdOptimizer policyOpt(1.0);
+  nn::SgdOptimizer criticOpt(1.0);
+  std::mt19937_64 shuffleRng(55);
+  ppoUpdateBatched(policy, critic, policyOpt, criticOpt, data, cfg,
+                   shuffleRng);
+  const Vector gPolicy = stepGradient(theta0, policy.getParameters());
+  const Vector gCritic = stepGradient(phi0, critic.getParameters());
+  policy.setParameters(theta0);
+  critic.setParameters(phi0);
+
+  expectGradientOfLoss(
+      policy, gPolicy,
+      [&](const nn::Mlp& net) {
+        double s = 0.0;
+        for (std::size_t i = 0; i < data.size(); ++i) {
+          const RowPolicy rp = rowPolicy(net, data, i);
+          const double r = std::exp(rp.logProb - data.logProbs[i]);
+          const double a = data.advantages[i];
+          const double rc =
+              std::clamp(r, 1.0 - cfg.clipRatio, 1.0 + cfg.clipRatio);
+          s -= std::min(r * a, rc * a) + cfg.entropyCoeff * rp.entropy;
+        }
+        return s / static_cast<double>(data.size());
+      },
+      7);
+  expectGradientOfLoss(
+      critic, gCritic,
+      [&](const nn::Mlp& net) { return criticLoss(net, data); }, 5);
+}
+
+/// Across epochs and ragged mini-batches (70 = 4 x 16 + 6), PPO consumes the
+/// shuffle stream exactly once per epoch (the checkpointed RNG state depends
+/// on it) and a rerun from the same state reproduces the update bitwise.
+TEST(RlUpdateOracle, PpoShuffleStreamAndReplayAreDeterministic) {
   const std::size_t heads = 5;
   const std::size_t obsDim = 12;
   PpoConfig cfg;
   cfg.hidden = 32;
   cfg.epochs = 3;
   cfg.minibatch = 16;
-  // 70 % 16 != 0: exercises the ragged final mini-batch.
   const FlatRollout data = syntheticRollout(70, obsDim, heads, 202);
 
-  nn::Mlp policyA = makePolicyNet(obsDim, heads, kApH, cfg.hidden, 9);
-  nn::Mlp policyB = makePolicyNet(obsDim, heads, kApH, cfg.hidden, 9);
-  nn::Mlp criticA = makeValueNet(obsDim, cfg.hidden, 10);
-  nn::Mlp criticB = makeValueNet(obsDim, cfg.hidden, 10);
-  nn::AdamOptimizer poA(cfg.learningRate), poB(cfg.learningRate);
-  nn::AdamOptimizer coA(cfg.valueLearningRate), coB(cfg.valueLearningRate);
-  std::mt19937_64 rngA(55);
-  std::mt19937_64 rngB(55);
-
-  for (int round = 0; round < 2; ++round) {
-    ppoUpdatePerSample(policyA, criticA, poA, coA, data, cfg, rngA);
-    ppoUpdateBatched(policyB, criticB, poB, coB, data, cfg, rngB);
+  Vector params[2];
+  for (Vector& out : params) {
+    nn::Mlp policy = makePolicyNet(obsDim, heads, kApH, cfg.hidden, 9);
+    nn::Mlp critic = makeValueNet(obsDim, cfg.hidden, 10);
+    nn::AdamOptimizer policyOpt(cfg.learningRate);
+    nn::AdamOptimizer criticOpt(cfg.valueLearningRate);
+    std::mt19937_64 rng(55);
+    ppoUpdateBatched(policy, critic, policyOpt, criticOpt, data, cfg, rng);
+    std::mt19937_64 ref(55);
+    std::vector<std::size_t> order(data.size());
+    std::iota(order.begin(), order.end(), 0);
+    for (std::size_t e = 0; e < cfg.epochs; ++e)
+      std::shuffle(order.begin(), order.end(), ref);
+    EXPECT_EQ(rng, ref);
+    out = policy.getParameters();
+    for (double v : out) ASSERT_TRUE(std::isfinite(v));
   }
-  EXPECT_EQ(rngA, rngB);  // both paths consumed the shuffle stream equally
-  expectParamsBitwiseEqual(policyA, policyB);
-  expectParamsBitwiseEqual(criticA, criticB);
+  EXPECT_EQ(params[0], params[1]);
 }
 
-TEST(RlUpdateParity, TrpoBatchedMatchesPerSampleBitwise) {
+/// Mean KL(old || current) and surrogate E[r A] over the rollout, recomputed
+/// from Mlp::predict against the old policy's logits.
+struct TrpoObjective {
+  double kl = 0.0;
+  double surrogate = 0.0;
+};
+
+TrpoObjective trpoObjective(const nn::Mlp& policy, const FlatRollout& data,
+                            const std::vector<Vector>& oldLogits) {
+  TrpoObjective t;
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    const double* o = data.observations.row(i);
+    const Vector logits =
+        policy.predict(Vector(o, o + data.observations.cols()));
+    const std::size_t heads = data.actions[i].size();
+    double lp = 0.0;
+    double rowKl = 0.0;
+    for (std::size_t h = 0; h < heads; ++h) {
+      const Vector lq = nn::logSoftmax(headLogits(logits, h, kApH));
+      const Vector lpOld = nn::logSoftmax(headLogits(oldLogits[i], h, kApH));
+      double headKl = 0.0;
+      for (std::size_t a = 0; a < kApH; ++a)
+        headKl += std::exp(lpOld[a]) * (lpOld[a] - lq[a]);
+      rowKl += headKl;
+      lp += lq[data.actions[i][h]];
+    }
+    t.kl += rowKl;
+    t.surrogate += std::exp(lp - data.logProbs[i]) * data.advantages[i];
+  }
+  t.kl /= static_cast<double>(data.size());
+  t.surrogate /= static_cast<double>(data.size());
+  return t;
+}
+
+/// TRPO's trust-region contract, checked from outside: an accepted step stays
+/// within 1.5 * maxKl of the old policy and strictly raises the surrogate; a
+/// rejected (or skipped) update leaves the policy bitwise unchanged.
+TEST(RlUpdateOracle, TrpoAcceptedStepsRespectTheTrustRegion) {
   const std::size_t heads = 4;
   const std::size_t obsDim = 10;
   TrpoConfig cfg;
   cfg.hidden = 24;
-  const FlatRollout data = syntheticRollout(64, obsDim, heads, 303);
+  nn::Mlp policy = makePolicyNet(obsDim, heads, kApH, cfg.hidden, 13);
+  nn::Mlp critic = makeValueNet(obsDim, cfg.hidden, 14);
+  nn::AdamOptimizer criticOpt(cfg.valueLearningRate);
 
-  nn::Mlp policyA = makePolicyNet(obsDim, heads, kApH, cfg.hidden, 13);
-  nn::Mlp policyB = makePolicyNet(obsDim, heads, kApH, cfg.hidden, 13);
-  nn::Mlp criticA = makeValueNet(obsDim, cfg.hidden, 14);
-  nn::Mlp criticB = makeValueNet(obsDim, cfg.hidden, 14);
-  nn::AdamOptimizer coA(cfg.valueLearningRate), coB(cfg.valueLearningRate);
+  const auto oldLogitsOf = [&](const FlatRollout& data) {
+    std::vector<Vector> out;
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      const double* o = data.observations.row(i);
+      out.push_back(policy.predict(Vector(o, o + obsDim)));
+    }
+    return out;
+  };
 
-  for (int round = 0; round < 2; ++round) {
-    const bool accA = trpoUpdate(policyA, criticA, coA, data, cfg, false);
-    const bool accB = trpoUpdate(policyB, criticB, coB, data, cfg, true);
-    EXPECT_EQ(accA, accB);
+  std::size_t accepted = 0;
+  for (std::uint64_t seed = 303; seed < 309; ++seed) {
+    const FlatRollout data = syntheticRollout(64, obsDim, heads, seed);
+    const std::vector<Vector> oldLogits = oldLogitsOf(data);
+    const Vector theta0 = policy.getParameters();
+    const TrpoObjective before = trpoObjective(policy, data, oldLogits);
+    EXPECT_EQ(before.kl, 0.0);
+    if (trpoUpdate(policy, critic, criticOpt, data, cfg)) {
+      ++accepted;
+      const TrpoObjective after = trpoObjective(policy, data, oldLogits);
+      EXPECT_GT(after.kl, 0.0) << "seed " << seed;
+      EXPECT_LE(after.kl, 1.5 * cfg.maxKl) << "seed " << seed;
+      EXPECT_GT(after.surrogate, before.surrogate) << "seed " << seed;
+    } else {
+      EXPECT_EQ(policy.getParameters(), theta0) << "seed " << seed;
+    }
   }
-  expectParamsBitwiseEqual(policyA, policyB);
-  expectParamsBitwiseEqual(criticA, criticB);
+  EXPECT_GT(accepted, 0u);
+
+  // A line search with no attempts can never accept: the policy must come
+  // back bitwise, even though the CG step was computed.
+  TrpoConfig noSearch = cfg;
+  noSearch.lineSearchSteps = 0;
+  const FlatRollout data = syntheticRollout(64, obsDim, heads, 401);
+  const Vector theta0 = policy.getParameters();
+  EXPECT_FALSE(trpoUpdate(policy, critic, criticOpt, data, noSearch));
+  EXPECT_EQ(policy.getParameters(), theta0);
+
+  // Zero advantages give a zero surrogate gradient: the update is skipped.
+  FlatRollout flat = data;
+  std::fill(flat.advantages.begin(), flat.advantages.end(), 0.0);
+  EXPECT_FALSE(trpoUpdate(policy, critic, criticOpt, flat, cfg));
+  EXPECT_EQ(policy.getParameters(), theta0);
 }
 
-// ---------- end-to-end trainer parity ----------
+// ---------- trainer determinism ----------
 
 /// 1-D toy problem: feasible band around x = 0.8.
 core::SizingProblem bandProblem() {
@@ -225,36 +459,6 @@ void expectOutcomesEqual(const RlTrainOutcome& a, const RlTrainOutcome& b) {
   EXPECT_EQ(a.totalSimulations, b.totalSimulations);
   EXPECT_EQ(a.simulationsToSolve, b.simulationsToSolve);
   EXPECT_EQ(a.bestEpisodeReturn, b.bestEpisodeReturn);
-}
-
-TEST(TrainerParity, SeededRunsAreIdenticalAcrossUpdatePaths) {
-  const auto prob = bandProblem();
-  {
-    A2cConfig a, b;
-    a.seed = b.seed = 3;
-    a.env.episodeLength = b.env.episodeLength = 20;
-    a.batchedTraining = false;
-    b.batchedTraining = true;
-    expectOutcomesEqual(trainA2c(prob, a, 500), trainA2c(prob, b, 500));
-  }
-  {
-    PpoConfig a, b;
-    a.seed = b.seed = 3;
-    a.horizon = b.horizon = 48;
-    a.env.episodeLength = b.env.episodeLength = 20;
-    a.batchedTraining = false;
-    b.batchedTraining = true;
-    expectOutcomesEqual(trainPpo(prob, a, 500), trainPpo(prob, b, 500));
-  }
-  {
-    TrpoConfig a, b;
-    a.seed = b.seed = 3;
-    a.horizon = b.horizon = 48;
-    a.env.episodeLength = b.env.episodeLength = 20;
-    a.batchedTraining = false;
-    b.batchedTraining = true;
-    expectOutcomesEqual(trainTrpo(prob, a, 500), trainTrpo(prob, b, 500));
-  }
 }
 
 // ---------- parallel rollout collection ----------
@@ -345,13 +549,32 @@ TEST(ParallelRollout, EnvStreamsAreIndependent) {
 
 TEST(ParallelRollout, MultiEnvTrainingIsDeterministic) {
   const auto prob = bandProblem();
-  PpoConfig cfg;
-  cfg.seed = 5;
-  cfg.horizon = 32;
-  cfg.env.episodeLength = 16;
-  cfg.numEnvs = 3;
-  cfg.rolloutThreads = 2;
-  expectOutcomesEqual(trainPpo(prob, cfg, 400), trainPpo(prob, cfg, 400));
+  {
+    A2cConfig cfg;
+    cfg.seed = 5;
+    cfg.env.episodeLength = 16;
+    cfg.numEnvs = 3;
+    cfg.rolloutThreads = 2;
+    expectOutcomesEqual(trainA2c(prob, cfg, 400), trainA2c(prob, cfg, 400));
+  }
+  {
+    PpoConfig cfg;
+    cfg.seed = 5;
+    cfg.horizon = 32;
+    cfg.env.episodeLength = 16;
+    cfg.numEnvs = 3;
+    cfg.rolloutThreads = 2;
+    expectOutcomesEqual(trainPpo(prob, cfg, 400), trainPpo(prob, cfg, 400));
+  }
+  {
+    TrpoConfig cfg;
+    cfg.seed = 5;
+    cfg.horizon = 32;
+    cfg.env.episodeLength = 16;
+    cfg.numEnvs = 3;
+    cfg.rolloutThreads = 2;
+    expectOutcomesEqual(trainTrpo(prob, cfg, 400), trainTrpo(prob, cfg, 400));
+  }
 }
 
 TEST(ParallelRollout, MultiEnvOutcomeIndependentOfThreadCount) {

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 
+#include "nn/distribution.hpp"
 #include "rl/a2c.hpp"
 #include "rl/actor_critic.hpp"
 #include "rl/ppo.hpp"
@@ -89,37 +91,101 @@ TEST(SizingEnv, CountsSimulations) {
   EXPECT_EQ(env.simulationsUsed(), 3u);  // reset + 2 steps
 }
 
+/// Per-head softmax and log-softmax tables of a logits batch.
+struct Tables {
+  linalg::Matrix sm;
+  linalg::Matrix lsm;
+};
+
+Tables tablesOf(const linalg::Matrix& logits) {
+  Tables t;
+  nn::softmaxSegments(logits, 3, t.sm);
+  nn::logSoftmaxSegments(logits, 3, t.lsm);
+  return t;
+}
+
+/// Central finite-difference check of an analytic d f / d logits matrix.
+void expectLogitGradient(const linalg::Matrix& logits,
+                         const std::function<double(const linalg::Matrix&)>& f,
+                         const linalg::Matrix& analytic) {
+  constexpr double kEps = 1e-6;
+  ASSERT_EQ(analytic.rows(), logits.rows());
+  ASSERT_EQ(analytic.cols(), logits.cols());
+  for (std::size_t i = 0; i < logits.size(); ++i) {
+    linalg::Matrix plus = logits;
+    linalg::Matrix minus = logits;
+    plus.data()[i] += kEps;
+    minus.data()[i] -= kEps;
+    EXPECT_NEAR(analytic.data()[i], (f(plus) - f(minus)) / (2 * kEps), 1e-8)
+        << "logit " << i;
+  }
+}
+
+// Two samples x two 3-way heads; row 1 is deliberately peaked.
+const linalg::Matrix kLogits{{0.1, 0.5, -0.2, 1.0, 0.0, -1.0},
+                             {2.5, -1.5, 0.3, -0.4, 0.9, 0.2}};
+const std::vector<std::vector<std::size_t>> kActions{{1, 0}, {2, 1}};
+
 TEST(ActorCritic, JointLogProbConsistent) {
-  const linalg::Vector logits = {0.1, 0.5, -0.2, 1.0, 0.0, -1.0};
-  const std::vector<std::size_t> actions = {1, 0};
-  const double lp = jointLogProb(logits, actions, 3);
-  EXPECT_LT(lp, 0.0);
-  // Gradient sums to zero per head.
-  const linalg::Vector g = jointLogProbGrad(logits, actions, 3);
-  EXPECT_NEAR(g[0] + g[1] + g[2], 0.0, 1e-12);
-  EXPECT_NEAR(g[3] + g[4] + g[5], 0.0, 1e-12);
+  const Tables t = tablesOf(kLogits);
+  linalg::Vector lp;
+  jointLogProbRowsFromTable(t.lsm, kActions, 3, lp);
+  ASSERT_EQ(lp.size(), 2u);
+  for (double v : lp) EXPECT_LT(v, 0.0);
+  linalg::Matrix g;
+  jointLogProbGradRowsFromTable(t.sm, kActions, 3, g);
+  for (std::size_t r = 0; r < 2; ++r) {
+    // Gradient sums to zero per head; the chosen action's entry is positive.
+    EXPECT_NEAR(g(r, 0) + g(r, 1) + g(r, 2), 0.0, 1e-12);
+    EXPECT_NEAR(g(r, 3) + g(r, 4) + g(r, 5), 0.0, 1e-12);
+    EXPECT_GT(g(r, kActions[r][0]), 0.0);
+    EXPECT_GT(g(r, 3 + kActions[r][1]), 0.0);
+  }
+  // d(sum of joint log-probs)/d logits, numerically.
+  expectLogitGradient(
+      kLogits,
+      [](const linalg::Matrix& l) {
+        linalg::Vector v;
+        jointLogProbRowsFromTable(tablesOf(l).lsm, kActions, 3, v);
+        return v[0] + v[1];
+      },
+      g);
 }
 
 TEST(ActorCritic, KlZeroOnIdenticalLogits) {
-  const linalg::Vector logits = {0.1, 0.5, -0.2, 1.0, 0.0, -1.0};
-  EXPECT_NEAR(jointKl(logits, logits, 3), 0.0, 1e-12);
-  const linalg::Vector g = jointKlGrad(logits, logits, 3);
-  for (double v : g) EXPECT_NEAR(v, 0.0, 1e-12);
+  const Tables t = tablesOf(kLogits);
+  EXPECT_NEAR(sumJointKlRowsFromTables(t.lsm, t.lsm, 3), 0.0, 1e-12);
+  linalg::Matrix g;
+  jointKlGradRowsFromTables(t.sm, t.sm, g);
+  for (std::size_t i = 0; i < g.size(); ++i) EXPECT_EQ(g.data()[i], 0.0);
+
+  // Away from the old policy the KL is positive and its gradient in the new
+  // logits is softmax(new) - softmax(old).
+  linalg::Matrix moved = kLogits;
+  for (std::size_t i = 0; i < moved.size(); ++i)
+    moved.data()[i] += 0.3 * std::sin(static_cast<double>(i));
+  const Tables tm = tablesOf(moved);
+  EXPECT_GT(sumJointKlRowsFromTables(t.lsm, tm.lsm, 3), 0.0);
+  jointKlGradRowsFromTables(t.sm, tm.sm, g);
+  expectLogitGradient(
+      moved,
+      [&](const linalg::Matrix& l) {
+        return sumJointKlRowsFromTables(t.lsm, tablesOf(l).lsm, 3);
+      },
+      g);
 }
 
 TEST(ActorCritic, EntropyGradMatchesFiniteDifference) {
-  const linalg::Vector logits = {0.3, -0.7, 0.2};
-  const linalg::Vector g = jointEntropyGrad(logits, 3);
-  constexpr double kEps = 1e-6;
-  for (std::size_t i = 0; i < 3; ++i) {
-    linalg::Vector lp = logits;
-    lp[i] += kEps;
-    linalg::Vector lm = logits;
-    lm[i] -= kEps;
-    const double numeric =
-        (jointEntropy(lp, 3) - jointEntropy(lm, 3)) / (2 * kEps);
-    EXPECT_NEAR(g[i], numeric, 1e-6);
-  }
+  const auto entropySum = [](const linalg::Matrix& l) {
+    const linalg::Matrix lsm = tablesOf(l).lsm;
+    double h = 0.0;
+    for (std::size_t i = 0; i < lsm.size(); ++i)
+      h -= std::exp(lsm.data()[i]) * lsm.data()[i];
+    return h;
+  };
+  linalg::Matrix g;
+  jointEntropyGradRowsFromTable(tablesOf(kLogits).lsm, 3, g);
+  expectLogitGradient(kLogits, entropySum, g);
 }
 
 TEST(Rollout, GaeMatchesHandComputation) {

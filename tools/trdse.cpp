@@ -202,7 +202,10 @@ int cmdRun(ArgCursor args, bool resume) {
     // Stderr comment lines only: stdout is golden-diffed and wall time is
     // outside the determinism contract. Harvests from forked workers do not
     // carry the phase fields (they are never on the wire), so distributed
-    // runs attribute only coordinator-resident jobs.
+    // runs attribute only coordinator-resident jobs. The phases are timed
+    // only inside the lane-batched kernels, so a run that never reaches them
+    // prints no line rather than a row of zeros that looks like a
+    // measurement.
     {
       std::uint64_t dev = 0, stamp = 0, factor = 0, solve = 0;
       for (const trdse::orch::JobResult& jr : results) {
@@ -211,10 +214,11 @@ int cmdRun(ArgCursor args, bool resume) {
         factor += jr.outcome.evalStats.simFactorNs;
         solve += jr.outcome.evalStats.simSolveNs;
       }
-      std::fprintf(stderr,
-                   "# sim-phase: deviceEval=%.1fms stamp=%.1fms "
-                   "factor=%.1fms solve=%.1fms\n",
-                   dev / 1e6, stamp / 1e6, factor / 1e6, solve / 1e6);
+      if (dev + stamp + factor + solve != 0)
+        std::fprintf(stderr,
+                     "# sim-phase: deviceEval=%.1fms stamp=%.1fms "
+                     "factor=%.1fms solve=%.1fms\n",
+                     dev / 1e6, stamp / 1e6, factor / 1e6, solve / 1e6);
     }
     for (const std::string& ev : scheduler.events())
       std::fprintf(stderr, "# event: %s\n", ev.c_str());
