@@ -60,12 +60,13 @@ RlTrainOutcome trainTrpo(const core::SizingProblem& problem,
 
 /// One full TRPO update (natural-gradient policy step via CG on
 /// Fisher-vector products + backtracking line search, then critic
-/// regression) over a flattened rollout. Returns whether the line search
-/// accepted a policy step: an accepted step keeps the mean KL(old || new)
-/// within 1.5 * maxKl and strictly raises the surrogate E[ratio * A]; a
-/// rejected one leaves the policy parameters unchanged. The update is
-/// skipped entirely when the surrogate gradient or the CG curvature
-/// degenerates.
+/// regression) over a flattened rollout. The full step s is scaled so that
+/// s'(F + cgDamping I)s / 2 = maxKl, with F the Fisher matrix of the mean KL
+/// at the old policy. Returns whether the line search accepted a policy
+/// step: an accepted step keeps the mean KL(old || new) within 1.5 * maxKl
+/// and strictly raises the surrogate E[ratio * A]; a rejected one leaves the
+/// policy parameters unchanged. The update is skipped entirely when the
+/// surrogate gradient or the CG curvature degenerates.
 bool trpoUpdate(nn::Mlp& policy, nn::Mlp& critic, nn::Optimizer& criticOpt,
                 const FlatRollout& data, const TrpoConfig& cfg);
 

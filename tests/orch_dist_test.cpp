@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "circuits/registry.hpp"
+#include "fuzz_util.hpp"
 #include "io/checkpoint.hpp"
 #include "orch/distributed.hpp"
 #include "orch/scenario.hpp"
@@ -757,24 +758,9 @@ TEST(WireFuzz, MutatedFramesDecodeOrThrowTypedErrors) {
   std::size_t decoded = 0, typed = 0, resealed = 0;
   for (std::size_t it = 0; it < kMutants; ++it) {
     std::string m = bodies[rng() % bodies.size()];
-    switch (rng() % 3) {
-      case 0:  // flip 1-4 bytes
-        for (std::uint64_t f = 0, n = 1 + rng() % 4; f < n; ++f)
-          m[rng() % m.size()] ^= static_cast<char>(1 + rng() % 255);
-        break;
-      case 1:  // truncate
-        m.resize(rng() % m.size());
-        break;
-      default: {  // splice: a prefix of this frame, a suffix of another
-        const std::string& other = bodies[rng() % bodies.size()];
-        m = m.substr(0, rng() % (m.size() + 1)) +
-            other.substr(rng() % (other.size() + 1));
-      }
-    }
+    fuzz::mutateBytes(m, rng() % fuzz::kByteMutations, bodies, rng);
     if (m.size() >= 16 && rng() % 2 == 0) {
-      std::uint64_t sum = io::fnv1a64(m.data() + 16, m.size() - 16);
-      for (std::size_t b = 0; b < 8; ++b, sum >>= 8)
-        m[8 + b] = static_cast<char>(sum & 0xff);
+      fuzz::reseal(m);
       ++resealed;
     }
     try {

@@ -16,6 +16,7 @@
 
 #include "circuits/registry.hpp"
 #include "core/pvt_search.hpp"
+#include "fuzz_util.hpp"
 #include "io/checkpoint.hpp"
 #include "opt/random_search.hpp"
 #include "opt/strategy.hpp"
@@ -387,29 +388,18 @@ TEST(Strategy, RandomSearchCheckpointRoundTrip) {
 
 // ---- Seeded mutation fuzz: scenario text and strategy checkpoints --------
 
-/// One seeded mutation of `text`: flip 1-4 bytes, truncate, splice with
-/// another sample, or (for line-oriented text) drop, duplicate, or swap
-/// lines and replace a value with a hostile token.
+/// One seeded mutation of `text`: a byte-level mutation (fuzz::mutateBytes)
+/// or, for line-oriented text, drop, duplicate, or swap lines and replace a
+/// value with a hostile token.
 std::string mutate(const std::string& text, const std::vector<std::string>& all,
                    std::mt19937_64& rng, bool lineOps) {
   std::string m = text;
   if (m.empty()) return m;
-  const std::uint64_t op = rng() % (lineOps ? 6 : 3);
-  switch (op) {
-    case 0:  // flip 1-4 bytes
-      for (std::uint64_t f = 0, n = 1 + rng() % 4; f < n; ++f)
-        m[rng() % m.size()] ^= static_cast<char>(1 + rng() % 255);
-      return m;
-    case 1:  // truncate
-      m.resize(rng() % m.size());
-      return m;
-    case 2: {  // splice: a prefix of this sample, a suffix of another
-      const std::string& other = all[rng() % all.size()];
-      return m.substr(0, rng() % (m.size() + 1)) +
-             other.substr(rng() % (other.size() + 1));
-    }
-    default:
-      break;
+  const std::uint64_t op =
+      rng() % (lineOps ? fuzz::kByteMutations + 3 : fuzz::kByteMutations);
+  if (op < fuzz::kByteMutations) {
+    fuzz::mutateBytes(m, op, all, rng);
+    return m;
   }
   std::vector<std::string> lines;
   std::istringstream in(m);
@@ -487,16 +477,6 @@ TEST(ScenarioFuzz, MutatedScenariosParseOrThrowInvalidArgument) {
   EXPECT_GT(rejected, kMutants / 20);  // and many do not
 }
 
-/// Recompute a checkpoint container's body checksum (bytes 8-15 over the
-/// bytes from 16 on), so a mutant reaches the section parsers instead of
-/// stopping at the checksum.
-void reseal(std::string& blob) {
-  if (blob.size() < 16) return;
-  std::uint64_t sum = io::fnv1a64(blob.data() + 16, blob.size() - 16);
-  for (std::size_t b = 0; b < 8; ++b, sum >>= 8)
-    blob[8 + b] = static_cast<char>(sum & 0xff);
-}
-
 /// Mutate snapshots of `name` (taken at several points of a seeded run) and
 /// restore each into a fresh strategy: every mutant must restore or throw
 /// io::CheckpointError.
@@ -519,7 +499,7 @@ void fuzzStrategyCheckpoints(const std::string& name,
   for (std::size_t it = 0; it < mutants; ++it) {
     std::string m =
         mutate(blobs[rng() % blobs.size()], blobs, rng, /*lineOps=*/false);
-    if (rng() % 2 == 0) reseal(m);
+    if (rng() % 2 == 0) fuzz::reseal(m);
     auto fresh = opt::makeStrategy(name, prob, 7, 120);
     try {
       fresh->restoreCheckpointBlob(m, "mutant");

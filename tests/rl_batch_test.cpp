@@ -1,9 +1,10 @@
 // Oracle and determinism tests for the batched multi-env RL training engine:
 // the segment softmax kernels and the row-batched joint log-prob/entropy/KL
 // helpers against their per-head closed forms, each A2C/PPO update against
-// the finite-difference gradient of its loss, TRPO's trust-region contract,
-// seeded trainer determinism, and thread-count invariance of parallel
-// rollout collection.
+// the finite-difference gradient of its loss, PPO's shuffled mini-batching
+// against a replay of single-batch steps, TRPO's trust-region contract and
+// Fisher model, seeded trainer determinism, and thread-count invariance of
+// parallel rollout collection.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 #include <functional>
 #include <numeric>
 #include <random>
+#include <utility>
 
 #include "nn/distribution.hpp"
 #include "rl/a2c.hpp"
@@ -253,15 +255,17 @@ TEST(RlUpdateOracle, A2cStepIsGradientOfItsLoss) {
 /// PPO's policy loss is mean -(min(r A, clip(r, 1 - eps, 1 + eps) A) + beta H)
 /// with r = exp(log pi - log pi_behavior). One epoch over one mini-batch that
 /// spans the rollout, with gradient clipping disabled and lr = 1 SGD, makes
-/// the step the gradient of that loss. Behavior log-probs are the policy's
-/// own plus noise, so some ratios fall outside the clip band and some inside.
+/// the step the gradient of that loss. The mini-batch is ragged (minibatch
+/// 100 > 70 rows), so the mean must divide by the rows gathered, not by
+/// cfg.minibatch. Behavior log-probs are the policy's own plus noise, so
+/// some ratios fall outside the clip band and some inside.
 TEST(RlUpdateOracle, PpoStepIsGradientOfItsClippedLoss) {
   const std::size_t heads = 5;
   const std::size_t obsDim = 12;
   PpoConfig cfg;
   cfg.hidden = 32;
   cfg.epochs = 1;
-  cfg.minibatch = 70;
+  cfg.minibatch = 100;
   cfg.maxGradNorm = 1e30;
   FlatRollout data = syntheticRollout(70, obsDim, heads, 202);
 
@@ -313,36 +317,92 @@ TEST(RlUpdateOracle, PpoStepIsGradientOfItsClippedLoss) {
       [&](const nn::Mlp& net) { return criticLoss(net, data); }, 5);
 }
 
-/// Across epochs and ragged mini-batches (70 = 4 x 16 + 6), PPO consumes the
+/// Rows `rows` of `data`, in that order.
+FlatRollout gatherRows(const FlatRollout& data,
+                       const std::vector<std::size_t>& rows) {
+  const std::size_t obsDim = data.observations.cols();
+  FlatRollout sub;
+  sub.observations.resize(rows.size(), obsDim);
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    const std::size_t i = rows[r];
+    std::copy(data.observations.row(i), data.observations.row(i) + obsDim,
+              sub.observations.row(r));
+    sub.actions.push_back(data.actions[i]);
+    sub.logProbs.push_back(data.logProbs[i]);
+    sub.advantages.push_back(data.advantages[i]);
+    sub.returns.push_back(data.returns[i]);
+  }
+  return sub;
+}
+
+/// Several epochs of shuffled, ragged mini-batches (70 = 4 x 16 + 6) are the
+/// sequence of one-mini-batch updates on the rows each mini-batch gathers:
+/// replaying the shuffle stream and running ppoUpdateBatched on each gathered
+/// sub-rollout as a single full batch (the step the oracle above pins to the
+/// loss gradient), with the same Adam optimizers, must land on the same
+/// parameters. Gradient clipping is off so a per-mini-batch scale error is
+/// not renormalized away; a wrong scale on the ragged batch or a gather that
+/// ignores the shuffle order moves the parameters. The update consumes the
 /// shuffle stream exactly once per epoch (the checkpointed RNG state depends
-/// on it) and a rerun from the same state reproduces the update bitwise.
-TEST(RlUpdateOracle, PpoShuffleStreamAndReplayAreDeterministic) {
+/// on it), and a rerun from the same state reproduces it bitwise.
+TEST(RlUpdateOracle, PpoEpochsAreSequencesOfMiniBatchSteps) {
   const std::size_t heads = 5;
   const std::size_t obsDim = 12;
   PpoConfig cfg;
   cfg.hidden = 32;
   cfg.epochs = 3;
   cfg.minibatch = 16;
+  cfg.maxGradNorm = 1e30;
   const FlatRollout data = syntheticRollout(70, obsDim, heads, 202);
 
-  Vector params[2];
-  for (Vector& out : params) {
+  const auto update = [&](std::mt19937_64& rng) {
     nn::Mlp policy = makePolicyNet(obsDim, heads, kApH, cfg.hidden, 9);
     nn::Mlp critic = makeValueNet(obsDim, cfg.hidden, 10);
     nn::AdamOptimizer policyOpt(cfg.learningRate);
     nn::AdamOptimizer criticOpt(cfg.valueLearningRate);
-    std::mt19937_64 rng(55);
     ppoUpdateBatched(policy, critic, policyOpt, criticOpt, data, cfg, rng);
-    std::mt19937_64 ref(55);
-    std::vector<std::size_t> order(data.size());
-    std::iota(order.begin(), order.end(), 0);
-    for (std::size_t e = 0; e < cfg.epochs; ++e)
-      std::shuffle(order.begin(), order.end(), ref);
-    EXPECT_EQ(rng, ref);
-    out = policy.getParameters();
-    for (double v : out) ASSERT_TRUE(std::isfinite(v));
+    return std::make_pair(policy.getParameters(), critic.getParameters());
+  };
+  std::mt19937_64 rng(55);
+  const auto [policyParams, criticParams] = update(rng);
+  std::mt19937_64 rerun(55);
+  EXPECT_EQ(update(rerun), std::make_pair(policyParams, criticParams));
+
+  nn::Mlp refPolicy = makePolicyNet(obsDim, heads, kApH, cfg.hidden, 9);
+  nn::Mlp refCritic = makeValueNet(obsDim, cfg.hidden, 10);
+  nn::AdamOptimizer refPolicyOpt(cfg.learningRate);
+  nn::AdamOptimizer refCriticOpt(cfg.valueLearningRate);
+  std::mt19937_64 replay(55);
+  PpoConfig single = cfg;
+  single.epochs = 1;
+  std::vector<std::size_t> order(data.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::size_t steps = 0;
+  for (std::size_t e = 0; e < cfg.epochs; ++e) {
+    std::shuffle(order.begin(), order.end(), replay);
+    for (std::size_t start = 0; start < order.size(); start += cfg.minibatch) {
+      const std::size_t end = std::min(order.size(), start + cfg.minibatch);
+      const FlatRollout mb = gatherRows(
+          data, std::vector<std::size_t>(order.begin() + start,
+                                         order.begin() + end));
+      single.minibatch = mb.size();
+      std::mt19937_64 unused(0);  // one batch: its row order only
+      ppoUpdateBatched(refPolicy, refCritic, refPolicyOpt, refCriticOpt, mb,
+                       single, unused);
+      ++steps;
+    }
   }
-  EXPECT_EQ(params[0], params[1]);
+  EXPECT_EQ(steps, 15u);
+  EXPECT_EQ(rng, replay);  // one shuffle per epoch, nothing else drawn
+
+  const auto expectClose = [](const Vector& got, const Vector& want) {
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i)
+      EXPECT_NEAR(got[i], want[i], 1e-12 + 1e-9 * std::abs(want[i]))
+          << "param " << i;
+  };
+  expectClose(policyParams, refPolicy.getParameters());
+  expectClose(criticParams, refCritic.getParameters());
 }
 
 /// Mean KL(old || current) and surrogate E[r A] over the rollout, recomputed
@@ -351,6 +411,16 @@ struct TrpoObjective {
   double kl = 0.0;
   double surrogate = 0.0;
 };
+
+/// Per-row logits of `policy` on the rollout's observations.
+std::vector<Vector> logitsOf(const nn::Mlp& policy, const FlatRollout& data) {
+  std::vector<Vector> out;
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    const double* o = data.observations.row(i);
+    out.push_back(policy.predict(Vector(o, o + data.observations.cols())));
+  }
+  return out;
+}
 
 TrpoObjective trpoObjective(const nn::Mlp& policy, const FlatRollout& data,
                             const std::vector<Vector>& oldLogits) {
@@ -391,19 +461,10 @@ TEST(RlUpdateOracle, TrpoAcceptedStepsRespectTheTrustRegion) {
   nn::Mlp critic = makeValueNet(obsDim, cfg.hidden, 14);
   nn::AdamOptimizer criticOpt(cfg.valueLearningRate);
 
-  const auto oldLogitsOf = [&](const FlatRollout& data) {
-    std::vector<Vector> out;
-    for (std::size_t i = 0; i < data.size(); ++i) {
-      const double* o = data.observations.row(i);
-      out.push_back(policy.predict(Vector(o, o + obsDim)));
-    }
-    return out;
-  };
-
   std::size_t accepted = 0;
   for (std::uint64_t seed = 303; seed < 309; ++seed) {
     const FlatRollout data = syntheticRollout(64, obsDim, heads, seed);
-    const std::vector<Vector> oldLogits = oldLogitsOf(data);
+    const std::vector<Vector> oldLogits = logitsOf(policy, data);
     const Vector theta0 = policy.getParameters();
     const TrpoObjective before = trpoObjective(policy, data, oldLogits);
     EXPECT_EQ(before.kl, 0.0);
@@ -433,6 +494,47 @@ TEST(RlUpdateOracle, TrpoAcceptedStepsRespectTheTrustRegion) {
   std::fill(flat.advantages.begin(), flat.advantages.end(), 0.0);
   EXPECT_FALSE(trpoUpdate(policy, critic, criticOpt, flat, cfg));
   EXPECT_EQ(policy.getParameters(), theta0);
+}
+
+/// With a single line-search attempt, an accepted step is the full natural
+/// step s, which trpoUpdate scales so that its own Fisher model puts it on
+/// the trust-region boundary: s'(F + damping I)s / 2 = maxKl. The true mean
+/// KL(old || new) equals s'Fs / 2 to second order, so KL + damping |s|^2 / 2
+/// must come out near maxKl; a KL gradient with the wrong scale or rows
+/// inside the Fisher-vector product moves it away. With one regression epoch
+/// and lr = 1 SGD, the critic step must be the gradient of mean (V - R)^2.
+TEST(RlUpdateOracle, TrpoFullStepMeetsItsFisherModelAndCriticFollowsGradient) {
+  const std::size_t heads = 4;
+  const std::size_t obsDim = 10;
+  TrpoConfig cfg;
+  cfg.hidden = 24;
+  cfg.lineSearchSteps = 1;
+  cfg.valueEpochs = 1;
+  std::size_t accepted = 0;
+  for (std::uint64_t seed = 501; seed < 505; ++seed) {
+    nn::Mlp policy = makePolicyNet(obsDim, heads, kApH, cfg.hidden, seed);
+    nn::Mlp critic = makeValueNet(obsDim, cfg.hidden, seed + 100);
+    const FlatRollout data = syntheticRollout(64, obsDim, heads, seed);
+    const std::vector<Vector> oldLogits = logitsOf(policy, data);
+    const Vector theta0 = policy.getParameters();
+    const Vector phi0 = critic.getParameters();
+    nn::SgdOptimizer criticOpt(1.0);
+    const bool ok = trpoUpdate(policy, critic, criticOpt, data, cfg);
+
+    const Vector gCritic = stepGradient(phi0, critic.getParameters());
+    critic.setParameters(phi0);
+    expectGradientOfLoss(
+        critic, gCritic,
+        [&](const nn::Mlp& net) { return criticLoss(net, data); }, 5);
+
+    if (!ok) continue;
+    ++accepted;
+    const Vector s = stepGradient(theta0, policy.getParameters());
+    const double model = trpoObjective(policy, data, oldLogits).kl +
+                         0.5 * cfg.cgDamping * linalg::dot(s, s);
+    EXPECT_NEAR(model, cfg.maxKl, 0.1 * cfg.maxKl) << "seed " << seed;
+  }
+  EXPECT_GT(accepted, 0u);
 }
 
 // ---------- trainer determinism ----------

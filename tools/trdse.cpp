@@ -21,11 +21,13 @@
 // Exit codes (run/resume/submit): 0 all jobs completed; 1 error; 2 usage;
 // 4 completed but at least one job quarantined (`# quarantined` line on
 // stdout) — CI distinguishes "degraded but deterministic" from hard failure.
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <exception>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -203,8 +205,8 @@ int cmdRun(ArgCursor args, bool resume) {
     // outside the determinism contract. Harvests from forked workers do not
     // carry the phase fields (they are never on the wire), so distributed
     // runs attribute only coordinator-resident jobs. The phases are timed
-    // only inside the lane-batched kernels, so a run that never reaches them
-    // prints no line rather than a row of zeros that looks like a
+    // only inside the lane-batched kernels, so a run whose totals all print
+    // as 0.0 ms prints no line rather than a row of zeros that looks like a
     // measurement.
     {
       std::uint64_t dev = 0, stamp = 0, factor = 0, solve = 0;
@@ -214,11 +216,14 @@ int cmdRun(ArgCursor args, bool resume) {
         factor += jr.outcome.evalStats.simFactorNs;
         solve += jr.outcome.evalStats.simSolveNs;
       }
-      if (dev + stamp + factor + solve != 0)
+      const double ms[] = {dev / 1e6, stamp / 1e6, factor / 1e6, solve / 1e6};
+      // %.1f shows anything below 0.05 ms as 0.0.
+      if (std::any_of(std::begin(ms), std::end(ms),
+                      [](double v) { return v >= 0.05; }))
         std::fprintf(stderr,
                      "# sim-phase: deviceEval=%.1fms stamp=%.1fms "
                      "factor=%.1fms solve=%.1fms\n",
-                     dev / 1e6, stamp / 1e6, factor / 1e6, solve / 1e6);
+                     ms[0], ms[1], ms[2], ms[3]);
     }
     for (const std::string& ev : scheduler.events())
       std::fprintf(stderr, "# event: %s\n", ev.c_str());
