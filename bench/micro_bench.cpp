@@ -24,7 +24,6 @@
 #include "pvt/corners.hpp"
 #include "rl/ppo.hpp"
 #include "rl/trpo.hpp"
-#include "sim/dc.hpp"
 #include "sim/netlist.hpp"
 #include "sim/op_batch.hpp"
 #include "sim/process.hpp"
@@ -60,8 +59,8 @@ void BM_IcoEvalTransient(benchmark::State& state) {
 BENCHMARK(BM_IcoEvalTransient);
 
 void BM_IcoEvalTransientBatched(benchmark::State& state) {
-  // One lane-blocked Ico::evaluateBatch call covering a 4-corner block; each
-  // slot is bitwise identical to the scalar evaluate() the bench above times.
+  // One Ico::evaluateBatch call covering a 4-corner block, against the
+  // one-lane evaluate() the bench above times (same bits per slot).
   // scripts/bench.sh normalizes by the block width, so the recorded per-point
   // time is directly comparable to BM_IcoEvalTransient.
   const circuits::Ico ico(sim::n5Card());
@@ -88,8 +87,8 @@ BENCHMARK(BM_IcoEvalTransientBatched);
 // ---- Batched DC operating point: the lane-blocked Newton kernel ----
 //
 // Four (corner, sizing) operating points of a small MOS netlist solved one
-// at a time vs through a single solveDcBatch call. The batch's lanes are
-// bitwise identical to the scalar solves (tests/sim_batch_test.cpp locks
+// at a time (four one-lane solveDcBatch calls) vs through a single four-lane
+// call. Lanes are independent bit for bit (tests/sim_batch_test.cpp locks
 // this), so the pair isolates the amortization of the lockstep Newton /
 // lane-blocked LU pipeline.
 
@@ -140,11 +139,15 @@ struct DcOpLanes {
   }
 };
 
+// The same four operating points as four one-lane solves (null lanes
+// elsewhere): what a caller pays when it cannot fill lanes.
 void BM_DcOpScalar(benchmark::State& state) {
   const DcOpLanes lanes;
   for (auto _ : state) {
-    for (std::size_t l = 0; l < sim::kSimLanes; ++l)
-      benchmark::DoNotOptimize(sim::DcSolver(lanes.nls[l]).solve(lanes.gp[l]));
+    for (std::size_t l = 0; l < sim::kSimLanes; ++l) {
+      auto r = sim::solveDcBatch({lanes.nlp[l]}, {lanes.gp[l]});
+      benchmark::DoNotOptimize(r.data());
+    }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(sim::kSimLanes));
@@ -244,14 +247,14 @@ BENCHMARK(BM_GemmBatch800);
 // ---- Thread-parallel corner sweep: the PVT sign-off hot path ----
 //
 // One sizing evaluated on all 9 PVT corners through the EvalEngine. Serial
-// is the scalar reference dispatch (threads=1, batchedSim off); Pooled fans
-// the misses across hardware threads and lets each worker's corner chunk
-// fuse in the lane-blocked backend (batchedSim on). Both modes produce
+// asks for the corners one at a time (threads=1, one evalOne per corner: nine
+// one-lane simulator passes); Pooled asks for all nine in one evalBatch, which
+// fans the misses across hardware threads in four-lane chunks. Both produce
 // bitwise-identical results (tests/sim_batch_test.cpp), so the ratio is pure
-// dispatch speedup; CI gates Serial/Pooled >= 1.5x via scripts/bench.sh.
+// dispatch speedup; CI gates Serial/Pooled >= 1.8x on the bench-smoke run.
 
 void runCornerSweep(benchmark::State& state, std::size_t threads,
-                    bool batchedSim) {
+                    bool oneAtATime) {
   static const core::SizingProblem prob = [] {
     std::vector<sim::PvtCorner> cs;
     for (auto pc : {sim::ProcessCorner::kTT, sim::ProcessCorner::kSS,
@@ -268,22 +271,28 @@ void runCornerSweep(benchmark::State& state, std::size_t threads,
   // Cache off so every iteration pays for all 9 simulations; ledger off so
   // the timed loop does not grow a block list across iterations.
   eval::EvalEngine engine(prob, {/*cacheEvals=*/false, threads,
-                                 /*recordLedger=*/false, batchedSim});
+                                 /*recordLedger=*/false});
   for (auto _ : state) {
-    auto r = engine.evalBatch(cornerIdx, x, pvt::BlockKind::kSearch);
-    benchmark::DoNotOptimize(r.data());
+    if (oneAtATime) {
+      for (const std::size_t c : cornerIdx)
+        benchmark::DoNotOptimize(
+            engine.evalOne(c, x, pvt::BlockKind::kSearch));
+    } else {
+      auto r = engine.evalBatch(cornerIdx, x, pvt::BlockKind::kSearch);
+      benchmark::DoNotOptimize(r.data());
+    }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(cornerIdx.size()));
 }
 
 void BM_PvtCornerSweepSerial(benchmark::State& state) {
-  runCornerSweep(state, /*threads=*/1, /*batchedSim=*/false);
+  runCornerSweep(state, /*threads=*/1, /*oneAtATime=*/true);
 }
 BENCHMARK(BM_PvtCornerSweepSerial);
 
 void BM_PvtCornerSweepPooled(benchmark::State& state) {
-  runCornerSweep(state, /*threads=*/0, /*batchedSim=*/true);
+  runCornerSweep(state, /*threads=*/0, /*oneAtATime=*/false);
 }
 BENCHMARK(BM_PvtCornerSweepPooled);
 

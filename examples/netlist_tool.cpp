@@ -12,9 +12,9 @@
 #include <sstream>
 
 #include "sim/ac.hpp"
-#include "sim/dc.hpp"
 #include "sim/netlist_io.hpp"
 #include "sim/noise.hpp"
+#include "sim/op_batch.hpp"
 
 using namespace trdse;
 
@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
               nl.inductors().size(), nl.mosfets().size(), nl.diodes().size(),
               nl.vsources().size(), nl.isources().size());
 
-  const sim::DcResult op = sim::DcSolver(nl).solve();
+  const sim::DcResult op = sim::solveDcBatch({&nl}, {})[0];
   if (!op.converged) {
     std::fprintf(stderr, "DC operating point did not converge\n");
     return 1;

@@ -16,7 +16,7 @@
 #include "circuits/two_stage_opamp.hpp"
 #include "common/thread_pool.hpp"
 #include "core/local_explorer.hpp"
-#include "sim/dc.hpp"
+#include "sim/op_batch.hpp"
 #include "sim/mismatch.hpp"
 
 using namespace trdse;
@@ -33,7 +33,8 @@ bool nullOffsetAndMeasure(circuits::TwoStageOpamp::Testbench& tb,
   const double target = 0.5 * tb.vdd;
   auto voutAt = [&](double vinn) -> std::optional<double> {
     tb.netlist.vsources()[tb.innSource].vdc = vinn;
-    const sim::DcResult op = sim::DcSolver(tb.netlist).solve(&tb.initialGuess);
+    const sim::DcResult op =
+        sim::solveDcBatch({&tb.netlist}, {&tb.initialGuess})[0];
     if (!op.converged) return std::nullopt;
     return op.nodeVoltage(tb.out);
   };
@@ -54,7 +55,7 @@ bool nullOffsetAndMeasure(circuits::TwoStageOpamp::Testbench& tb,
     const auto fMid = voutAt(mid);
     if (!fMid) return false;
     if (std::abs(*fMid - target) < 0.03 * tb.vdd) {
-      out = circuits::TwoStageOpamp::measure(tb);
+      circuits::TwoStageOpamp::measureBatch(&tb, &out, 1);
       return out.ok;
     }
     if ((*fMid > target) == rising) {

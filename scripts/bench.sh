@@ -72,8 +72,8 @@ with open(raw_path) as f:
     raw = json.load(f)
 
 # Benches whose timed iteration covers a block of operating points record
-# per-point time, so their entries compare directly against the scalar
-# single-point benches (BM_DcOp* run 4 points per iteration either way;
+# per-point time, so their entries compare directly against the one-point
+# benches (BM_DcOp* run 4 points per iteration either way;
 # BM_IcoEvalTransientBatched fuses a 4-corner block per call).
 points_per_iteration = {
     "BM_DcOpScalar": 4,
@@ -100,7 +100,7 @@ with open(out_path, "w") as f:
     f.write("\n")
 print(f"wrote {out_path} ({len(result)} benchmarks)")
 
-# Scalar/serial-vs-batched/parallel pairs: the perf trajectory the batched
+# One-lane/serial-vs-four-lane/parallel pairs: the perf trajectory the lane
 # engines are graded on (see docs/BENCHMARKS.md).
 pairs = [
     ("PVT corner sweep", "BM_PvtCornerSweepSerial", "BM_PvtCornerSweepPooled"),

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "sim/ac.hpp"
-#include "sim/dc.hpp"
 #include "sim/netlist.hpp"
 #include "sim/op_batch.hpp"
 
@@ -17,22 +16,14 @@ namespace {
 constexpr double kLoadCap = 500e-15;
 constexpr double kBiasDiodeWidth = 2e-6;
 
-/// A stamped OTA testbench plus the handles measurement needs.
-struct FcTestbench {
-  sim::Netlist netlist;
-  sim::NodeId out = sim::kGround;
-  std::size_t vddSource = 0;
-  linalg::Vector initialGuess;
-  double vdd = 0.0;
-};
+using FcTestbench = FoldedCascodeOta::Testbench;
 
-/// AC sweep grid shared by the scalar and batched measurement paths.
+/// AC sweep grid of the measurement.
 std::vector<double> sweepFreqs() {
   return sim::AcSolver::logSpace(10.0, 20e9, 110);
 }
 
-/// Assemble the result from an operating point + completed sweep. Shared by
-/// the scalar and batched paths so both run the identical expressions.
+/// Assemble the result from an operating point + completed sweep.
 core::EvalResult resultFromSweep(const FcTestbench& tb, const sim::DcResult& op,
                                  const std::vector<double>& freqs,
                                  const std::vector<std::complex<double>>& h) {
@@ -72,10 +63,9 @@ core::DesignSpace FoldedCascodeOta::designSpace(const sim::ProcessCard& card) {
   });
 }
 
-namespace {
-FcTestbench buildFcTestbench(const sim::ProcessCard& card,
-                             const linalg::Vector& sizes,
-                             const sim::PvtCorner& corner) {
+FoldedCascodeOta::Testbench FoldedCascodeOta::buildTestbench(
+    const linalg::Vector& sizes, const sim::PvtCorner& corner) const {
+  const sim::ProcessCard& card = card_;
   using P = FoldedCascodeOta;
   assert(sizes.size() == P::kParamCount);
   const sim::MosParams nmos =
@@ -161,18 +151,13 @@ FcTestbench buildFcTestbench(const sim::ProcessCard& card,
   tb.vdd = corner.vdd;
   return tb;
 }
-}  // namespace
 
 core::EvalResult FoldedCascodeOta::evaluate(const linalg::Vector& sizes,
                                             const sim::PvtCorner& corner) const {
-  const FcTestbench tb = buildFcTestbench(card_, sizes, corner);
-  const sim::DcSolver dc(tb.netlist);
-  const sim::DcResult op = dc.solve(&tb.initialGuess);
-  if (!op.converged) return {};
-
-  const sim::AcSolver ac(tb.netlist, op);
-  const auto freqs = sweepFreqs();
-  return resultFromSweep(tb, op, freqs, ac.sweep(freqs, tb.out));
+  const linalg::Vector* slot = &sizes;
+  core::EvalResult r;
+  evaluateBatch(&slot, &corner, &r, 1);
+  return r;
 }
 
 void FoldedCascodeOta::evaluateBatch(const linalg::Vector* const* sizes,
@@ -188,7 +173,7 @@ void FoldedCascodeOta::evaluateBatch(const linalg::Vector* const* sizes,
     std::array<const linalg::Vector*, sim::kSimLanes> guesses{};
     for (int l = 0; l < lanes; ++l) {
       const auto li = static_cast<std::size_t>(l);
-      tbs[li] = buildFcTestbench(card_, *sizes[off + li], corners[off + li]);
+      tbs[li] = buildTestbench(*sizes[off + li], corners[off + li]);
       nls[li] = &tbs[li].netlist;
       guesses[li] = &tbs[li].initialGuess;
     }
@@ -219,7 +204,7 @@ void FoldedCascodeOta::evaluateBatch(const linalg::Vector* const* sizes,
                 ac.nodeVoltage(l, tbs[static_cast<std::size_t>(l)].out));
       }
       // A lane whose lane-blocked factorization went non-finite is replayed
-      // through the scalar solver, which is the equivalence reference.
+      // through the scalar AC solver, which keeps std::complex's NaN recovery.
       for (int l = 0; l < lanes; ++l)
         if (acOps[static_cast<std::size_t>(l)] && !ac.laneFinite(l))
           h[static_cast<std::size_t>(l)] = ac.laneSolver(l)->sweep(

@@ -13,6 +13,7 @@
 #pragma once
 
 #include "core/problem.hpp"
+#include "sim/netlist.hpp"
 #include "sim/process.hpp"
 
 namespace trdse::circuits {
@@ -37,12 +38,28 @@ class FoldedCascodeOta {
 
   static core::DesignSpace designSpace(const sim::ProcessCard& card);
 
+  /// A stamped testbench: the netlist a sizing is simulated on, its DC
+  /// initial guess, and the handles measurement needs.
+  struct Testbench {
+  sim::Netlist netlist;
+  sim::NodeId out = sim::kGround;
+  std::size_t vddSource = 0;
+  linalg::Vector initialGuess;
+  double vdd = 0.0;
+  };
+
+  /// Build the testbench for a sizing under a corner; exposed so analyses
+  /// can inspect the simulated circuit itself.
+  Testbench buildTestbench(const linalg::Vector& sizes,
+                           const sim::PvtCorner& corner) const;
+
+  /// One sizing under one corner: a one-lane evaluateBatch.
   core::EvalResult evaluate(const linalg::Vector& sizes,
                             const sim::PvtCorner& corner) const;
 
-  /// Fused corner-batch evaluation through the lane-blocked DC/AC engines
-  /// (sim/op_batch.hpp), in chunks of sim::kSimLanes: results[i] is bitwise
-  /// identical to evaluate(sizes, corners[i]).
+  /// Corner-batch evaluation through the lane DC/AC engines
+  /// (sim/op_batch.hpp), in chunks of sim::kSimLanes; results[i] depends on
+  /// (*sizes[i], corners[i]) alone, so slots may mix sizings.
   void evaluateBatch(const linalg::Vector* const* sizes,
                      const sim::PvtCorner* corners, core::EvalResult* results,
                      std::size_t count) const;

@@ -4,7 +4,6 @@
 #include <array>
 #include <cmath>
 
-#include "sim/dc.hpp"
 #include "sim/netlist.hpp"
 #include "sim/op_batch.hpp"
 #include "sim/transient.hpp"
@@ -19,7 +18,7 @@ constexpr double kPnOffsetHz = 1e6;
 /// range at ~8-9 GHz.
 constexpr double kExcessNoise = 25.0;
 
-/// Transient schedule shared by the scalar and batched paths.
+/// Transient schedule of the measurement.
 sim::TransientOptions transientOptions() {
   sim::TransientOptions topt;
   topt.tStop = 3.0e-9;
@@ -58,17 +57,13 @@ double Ico::estimatePhaseNoiseDbc(double f0Hz, double powerW, double offsetHz,
 
 namespace {
 
-/// A stamped ring-oscillator testbench plus the handles measurement needs.
-struct IcoTestbench {
-  sim::Netlist netlist;
-  std::vector<sim::NodeId> ring;
-  std::size_t vddSource = 0;
-  linalg::Vector initialGuess;
-};
+using IcoTestbench = Ico::Testbench;
 
-IcoTestbench buildIcoTestbench(const sim::ProcessCard& card,
-                               const linalg::Vector& sizes,
-                               const sim::PvtCorner& corner) {
+}  // namespace
+
+Ico::Testbench Ico::buildTestbench(const linalg::Vector& sizes,
+                                   const sim::PvtCorner& corner) const {
+  const sim::ProcessCard& card = card_;
   assert(sizes.size() == Ico::kParamCount);
   const sim::MosParams nmos =
       sim::applyPvt(card.nmos, sim::MosType::kNmos, corner, card.tnomK);
@@ -130,6 +125,8 @@ IcoTestbench buildIcoTestbench(const sim::ProcessCard& card,
   return tb;
 }
 
+namespace {
+
 /// Kick the metastable balance point onto the oscillation trajectory.
 linalg::Vector kickedState(const IcoTestbench& tb, const sim::DcResult& op) {
   linalg::Vector ic = op.v;
@@ -138,8 +135,7 @@ linalg::Vector kickedState(const IcoTestbench& tb, const sim::DcResult& op) {
   return ic;
 }
 
-/// Extract {freq, pnoise, power} from a completed transient. Shared by the
-/// scalar and batched paths so both run the identical expressions.
+/// Extract {freq, pnoise, power} from a completed transient.
 core::EvalResult measureFromTransient(const IcoTestbench& tb,
                                       const sim::TransientResult& tr,
                                       const sim::PvtCorner& corner) {
@@ -168,14 +164,10 @@ core::EvalResult measureFromTransient(const IcoTestbench& tb,
 
 core::EvalResult Ico::evaluate(const linalg::Vector& sizes,
                                const sim::PvtCorner& corner) const {
-  const IcoTestbench tb = buildIcoTestbench(card_, sizes, corner);
-  const sim::DcSolver dc(tb.netlist);
-  const sim::DcResult op = dc.solve(&tb.initialGuess);
-  if (!op.converged) return {};
-
-  const linalg::Vector ic = kickedState(tb, op);
-  const sim::TransientSolver tran(tb.netlist, transientOptions());
-  return measureFromTransient(tb, tran.run(ic), corner);
+  const linalg::Vector* slot = &sizes;
+  core::EvalResult r;
+  evaluateBatch(&slot, &corner, &r, 1);
+  return r;
 }
 
 void Ico::evaluateBatch(const linalg::Vector* const* sizes,
@@ -189,7 +181,7 @@ void Ico::evaluateBatch(const linalg::Vector* const* sizes,
     std::array<const linalg::Vector*, sim::kSimLanes> guesses{};
     for (int l = 0; l < lanes; ++l) {
       const auto li = static_cast<std::size_t>(l);
-      tbs[li] = buildIcoTestbench(card_, *sizes[off + li], corners[off + li]);
+      tbs[li] = buildTestbench(*sizes[off + li], corners[off + li]);
       nls[li] = &tbs[li].netlist;
       guesses[li] = &tbs[li].initialGuess;
     }

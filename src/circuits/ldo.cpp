@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "sim/ac.hpp"
-#include "sim/dc.hpp"
 #include "sim/netlist.hpp"
 #include "sim/op_batch.hpp"
 
@@ -56,25 +55,18 @@ core::DesignSpace Ldo::designSpace(const sim::ProcessCard& card) {
 
 namespace {
 
-/// A stamped regulator testbench plus the handles measurement needs.
-struct LdoTestbench {
-  sim::Netlist netlist;
-  sim::NodeId tap = sim::kGround;
-  sim::NodeId fbin = sim::kGround;
-  sim::NodeId vout = sim::kGround;
-  std::size_t vddSource = 0;
-  linalg::Vector initialGuess;
-  double vtarget = 0.0;
-};
+using LdoTestbench = Ldo::Testbench;
 
-/// Loop-sweep grid shared by the scalar and batched measurement paths.
+/// Loop-sweep grid of the measurement.
 std::vector<double> loopFreqs() {
   return sim::AcSolver::logSpace(10.0, 5e9, 110);
 }
 
-LdoTestbench buildLdoTestbench(const sim::ProcessCard& card,
-                               const linalg::Vector& sizes,
-                               const sim::PvtCorner& corner) {
+}  // namespace
+
+Ldo::Testbench Ldo::buildTestbench(const linalg::Vector& sizes,
+                                   const sim::PvtCorner& corner) const {
+  const sim::ProcessCard& card = card_;
   assert(sizes.size() == Ldo::kParamCount);
   const sim::MosParams nmos =
       sim::applyPvt(card.nmos, sim::MosType::kNmos, corner, card.tnomK);
@@ -153,9 +145,10 @@ LdoTestbench buildLdoTestbench(const sim::ProcessCard& card,
   return tb;
 }
 
+namespace {
+
 /// Append one loop-gain point T = v(tap)/v(fbin); false when the injection
-/// node response is numerically dead (the scalar path bails out there).
-/// Shared by both paths so the guard and the division are identical.
+/// node response is numerically dead (the measurement bails out there).
 bool appendLoopPoint(const std::complex<double>& vTap,
                      const std::complex<double>& vFb,
                      std::vector<std::complex<double>>& t) {
@@ -190,23 +183,10 @@ core::EvalResult resultFromLoop(const Ldo& ldo, const LdoTestbench& tb,
 
 core::EvalResult Ldo::evaluate(const linalg::Vector& sizes,
                                const sim::PvtCorner& corner) const {
-  const LdoTestbench tb = buildLdoTestbench(card_, sizes, corner);
-  const sim::DcSolver dc(tb.netlist);
-  const sim::DcResult op = dc.solve(&tb.initialGuess);
-  if (!op.converged) return {};
-
-  const sim::AcSolver ac(tb.netlist, op);
-  const auto freqs = loopFreqs();
-  // Loop gain: T = v(tap)/v(fbin) per the series-injection identity.
-  std::vector<std::complex<double>> t;
-  t.reserve(freqs.size());
-  for (double f : freqs) {
-    const auto x = ac.solveAt(f);
-    if (!appendLoopPoint(ac.nodeVoltage(x, tb.tap), ac.nodeVoltage(x, tb.fbin),
-                         t))
-      return {};
-  }
-  return resultFromLoop(*this, tb, op, freqs, t, sizes);
+  const linalg::Vector* slot = &sizes;
+  core::EvalResult r;
+  evaluateBatch(&slot, &corner, &r, 1);
+  return r;
 }
 
 void Ldo::evaluateBatch(const linalg::Vector* const* sizes,
@@ -221,7 +201,7 @@ void Ldo::evaluateBatch(const linalg::Vector* const* sizes,
     std::array<const linalg::Vector*, sim::kSimLanes> guesses{};
     for (int l = 0; l < lanes; ++l) {
       const auto li = static_cast<std::size_t>(l);
-      tbs[li] = buildLdoTestbench(card_, *sizes[off + li], corners[off + li]);
+      tbs[li] = buildTestbench(*sizes[off + li], corners[off + li]);
       nls[li] = &tbs[li].netlist;
       guesses[li] = &tbs[li].initialGuess;
     }
@@ -256,7 +236,7 @@ void Ldo::evaluateBatch(const linalg::Vector* const* sizes,
         }
       }
       // A lane whose lane-blocked factorization went non-finite is replayed
-      // through the scalar solver, which is the equivalence reference.
+      // through the scalar AC solver, which keeps std::complex's NaN recovery.
       for (int l = 0; l < lanes; ++l) {
         const auto li = static_cast<std::size_t>(l);
         if (!acOps[li] || ac.laneFinite(l)) continue;

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "sim/ac.hpp"
-#include "sim/dc.hpp"
 #include "sim/netlist.hpp"
 #include "sim/op_batch.hpp"
 
@@ -17,13 +16,12 @@ namespace {
 constexpr double kLoadCap = 400e-15;  // fixed CL [F]
 constexpr double kBiasDiodeWidth = 2e-6;
 
-/// AC sweep grid shared by the scalar and batched measurement paths.
+/// AC sweep grid of the measurement.
 std::vector<double> sweepFreqs() {
   return sim::AcSolver::logSpace(10.0, 20e9, 120);
 }
 
-/// Assemble the result from an operating point + completed sweep. Shared by
-/// measure() and evaluateBatch() so both paths run the identical expressions.
+/// Assemble the result from an operating point + completed sweep.
 core::EvalResult resultFromSweep(const TwoStageOpamp::Testbench& tb,
                                  const sim::DcResult& op,
                                  const std::vector<double>& freqs,
@@ -135,39 +133,37 @@ TwoStageOpamp::Testbench TwoStageOpamp::buildTestbench(
   return tb;
 }
 
-core::EvalResult TwoStageOpamp::measure(const Testbench& tb) {
-  const sim::DcSolver dc(tb.netlist);
-  const sim::DcResult op = dc.solve(&tb.initialGuess);
-  if (!op.converged) return {};
-
-  const sim::AcSolver ac(tb.netlist, op);
-  const auto freqs = sweepFreqs();
-  return resultFromSweep(tb, op, freqs, ac.sweep(freqs, tb.out));
-}
-
 core::EvalResult TwoStageOpamp::evaluate(const linalg::Vector& sizes,
                                          const sim::PvtCorner& corner) const {
-  return measure(buildTestbench(sizes, corner));
+  const linalg::Vector* slot = &sizes;
+  core::EvalResult r;
+  evaluateBatch(&slot, &corner, &r, 1);
+  return r;
 }
 
 void TwoStageOpamp::evaluateBatch(const linalg::Vector* const* sizes,
                                   const sim::PvtCorner* corners,
                                   core::EvalResult* results,
                                   std::size_t count) const {
+  std::vector<Testbench> tbs;
+  tbs.reserve(count);
+  for (std::size_t i = 0; i < count; ++i)
+    tbs.push_back(buildTestbench(*sizes[i], corners[i]));
+  measureBatch(tbs.data(), results, count);
+}
+
+void TwoStageOpamp::measureBatch(const Testbench* tbs,
+                                 core::EvalResult* results, std::size_t count) {
   const auto freqs = sweepFreqs();
   for (std::size_t off = 0; off < count; off += sim::kSimLanes) {
     const int lanes =
         static_cast<int>(std::min<std::size_t>(sim::kSimLanes, count - off));
-    std::array<Testbench, sim::kSimLanes> tbs;
+    const Testbench* tb = tbs + off;
     std::array<const sim::Netlist*, sim::kSimLanes> nls{};
     std::array<const linalg::Vector*, sim::kSimLanes> guesses{};
     for (int l = 0; l < lanes; ++l) {
-      tbs[static_cast<std::size_t>(l)] =
-          buildTestbench(*sizes[off + static_cast<std::size_t>(l)],
-                         corners[off + l]);
-      nls[static_cast<std::size_t>(l)] = &tbs[static_cast<std::size_t>(l)].netlist;
-      guesses[static_cast<std::size_t>(l)] =
-          &tbs[static_cast<std::size_t>(l)].initialGuess;
+      nls[static_cast<std::size_t>(l)] = &tb[l].netlist;
+      guesses[static_cast<std::size_t>(l)] = &tb[l].initialGuess;
     }
     const auto ops = sim::solveDcBatch(nls, guesses);
 
@@ -192,20 +188,20 @@ void TwoStageOpamp::evaluateBatch(const linalg::Vector* const* sizes,
         for (int l = 0; l < lanes; ++l)
           if (acOps[static_cast<std::size_t>(l)])
             h[static_cast<std::size_t>(l)].push_back(
-                ac.nodeVoltage(l, tbs[static_cast<std::size_t>(l)].out));
+                ac.nodeVoltage(l, tb[l].out));
       }
       // A lane whose lane-blocked factorization went non-finite is replayed
-      // through the scalar solver, which is the equivalence reference.
+      // through the scalar AC solver, which keeps std::complex's NaN recovery.
       for (int l = 0; l < lanes; ++l)
         if (acOps[static_cast<std::size_t>(l)] && !ac.laneFinite(l))
-          h[static_cast<std::size_t>(l)] = ac.laneSolver(l)->sweep(
-              freqs, tbs[static_cast<std::size_t>(l)].out);
+          h[static_cast<std::size_t>(l)] =
+              ac.laneSolver(l)->sweep(freqs, tb[l].out);
     }
 
     for (int l = 0; l < lanes; ++l) {
       const auto li = static_cast<std::size_t>(l);
       results[off + li] = acOps[li]
-                              ? resultFromSweep(tbs[li], ops[li], freqs, h[li])
+                              ? resultFromSweep(tb[l], ops[li], freqs, h[li])
                               : core::EvalResult{};
     }
   }

@@ -60,17 +60,20 @@ class TwoStageOpamp {
   Testbench buildTestbench(const linalg::Vector& sizes,
                            const sim::PvtCorner& corner) const;
 
-  /// DC + AC measurement of an (optionally perturbed) testbench.
-  static core::EvalResult measure(const Testbench& tb);
+  /// DC + AC measurement of `count` (optionally perturbed) testbenches
+  /// through the lane engines (sim/op_batch.hpp), in chunks of
+  /// sim::kSimLanes; results[i] depends on tbs[i] alone.
+  static void measureBatch(const Testbench* tbs, core::EvalResult* results,
+                           std::size_t count);
 
   /// Run DC + AC and extract {gain, UGBW, PM, power}. ok=false when the
   /// operating point fails to converge or the response never crosses unity.
+  /// One sizing is a one-lane evaluateBatch.
   core::EvalResult evaluate(const linalg::Vector& sizes,
                             const sim::PvtCorner& corner) const;
 
-  /// Fused corner-batch evaluation through the lane-blocked DC/AC engines
-  /// (sim/op_batch.hpp), in chunks of sim::kSimLanes: results[i] is bitwise
-  /// identical to evaluate(sizes, corners[i]).
+  /// Corner-batch evaluation: measureBatch over the built testbenches;
+  /// slots may mix sizings.
   void evaluateBatch(const linalg::Vector* const* sizes,
                      const sim::PvtCorner* corners, core::EvalResult* results,
                      std::size_t count) const;

@@ -110,9 +110,10 @@ using CornerEvalFn =
 /// `*sizes[i]` — slots are free to mix sizings, which is what lets the
 /// EvalEngine pack miss lanes across requests instead of padding ragged
 /// per-sizing tails. The contract is bitwise equivalence — slot i must hold
-/// exactly what the scalar CornerEvalFn returns for (*sizes[i], corners[i])
-/// — so the engine may route requests through either path (see
-/// EvalEngineConfig::batchedSim) without changing any outcome.
+/// exactly what the CornerEvalFn returns for (*sizes[i], corners[i]) — so a
+/// consumer that wraps `evaluate` (LocalExplorer's EvalFn, a designer
+/// callback) and the EvalEngine, which dispatches through this batch path
+/// whenever it is set, see the same outcomes.
 /// Implementations handle arbitrary `count` by chunking into their native
 /// lane width internally (sim::kSimLanes for the registry circuits).
 using CornerBatchEvalFn =

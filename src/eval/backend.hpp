@@ -37,6 +37,11 @@ struct EvalContext {
 /// thread-safe, since the engine fans batches out across a worker pool.
 /// (Fault decorators are deterministic in (sizes, corner, context) instead,
 /// which keeps every fault scenario bitwise reproducible too.)
+///
+/// There is one evaluation entry point, evaluateBatch. The engine hands it
+/// chunks of at most batchWidth() operating points — a one-point request is
+/// a chunk of one — so slot i's result must depend on (*sizes[i], corners[i],
+/// contexts[i]) alone, never on the chunk it arrived in.
 class EvalBackend {
  public:
   virtual ~EvalBackend() = default;
@@ -44,49 +49,20 @@ class EvalBackend {
   /// Stable label for reports and per-backend timing statistics.
   virtual std::string_view name() const = 0;
 
-  /// Evaluate one sizing under one PVT condition (one EDA block).
-  virtual core::EvalResult evaluate(const linalg::Vector& sizes,
-                                    const sim::PvtCorner& corner) const = 0;
+  /// Operating points one evaluateBatch call can fuse (the lane width of a
+  /// batched simulator; 1 for a backend that evaluates one at a time).
+  virtual std::size_t batchWidth() const = 0;
 
-  /// Context-aware entry point the EvalEngine calls. The default forwards to
-  /// the plain overload; only decorators that need the request identity
-  /// (fault injection) override it.
-  virtual core::EvalResult evaluate(const linalg::Vector& sizes,
-                                    const sim::PvtCorner& corner,
-                                    const EvalContext& context) const {
-    (void)context;
-    return evaluate(sizes, corner);
-  }
-
-  // ---- Corner-batch capability -------------------------------------------
-  //
-  // A backend that can fuse several (sizing, corner) operating points into
-  // one simulator pass (the lane-blocked engines in sim/op_batch.hpp)
-  // advertises a batchWidth() > 1; the EvalEngine then submits its cache
-  // misses as corner-batches of at most that width instead of one request
-  // per backend call. The contract is strict bitwise equivalence: slot i of
-  // evaluateBatch must equal evaluate(sizes, corners[i], contexts[i]) bit
-  // for bit, so routing through either path changes no search outcome,
-  // ledger, or statistic. Plain backends inherit the defaults and behave
-  // exactly as before.
-
-  /// Operating points one evaluateBatch call can fuse (1 = scalar backend).
-  virtual std::size_t batchWidth() const { return 1; }
-
-  /// Evaluate `count` (sizing, corner) operating points in a single call;
-  /// results land in `results[0..count)`. Slot i's sizing is `*sizes[i]` —
-  /// slots may mix sizings, which lets the engine pack lanes across
-  /// requests. `contexts[i]` carries request i's identity (for fault
-  /// decorators). The default loops over the scalar context-aware entry
-  /// point, so overriding batchWidth() alone is never observable.
+  /// Evaluate `count` (sizing, corner) operating points — one EDA block each
+  /// — in a single call; results land in `results[0..count)`. Slot i's
+  /// sizing is `*sizes[i]` — slots may mix sizings, which lets the engine
+  /// pack lanes across requests. `contexts[i]` carries request i's identity
+  /// (for fault decorators; plain backends ignore it).
   virtual void evaluateBatch(const linalg::Vector* const* sizes,
                              const sim::PvtCorner* corners,
                              const EvalContext* contexts,
                              core::EvalResult* results,
-                             std::size_t count) const {
-    for (std::size_t i = 0; i < count; ++i)
-      results[i] = evaluate(*sizes[i], corners[i], contexts[i]);
-  }
+                             std::size_t count) const = 0;
 };
 
 /// Wraps any CornerEvalFn — the adapter that keeps the existing designer
@@ -95,8 +71,9 @@ class EvalBackend {
 class CallbackBackend final : public EvalBackend {
  public:
   /// `batchFn`, when supplied, is the fused corner-batch path (must be
-  /// bitwise identical to `fn` per slot — see core::CornerBatchEvalFn);
-  /// `batchWidth` is the lane width the engine should chunk requests to.
+  /// bitwise identical to `fn` per slot — see core::CornerBatchEvalFn) and
+  /// `batchWidth` the lane width the engine should chunk requests to;
+  /// without it the backend has width 1 and loops `fn`.
   explicit CallbackBackend(core::CornerEvalFn fn,
                            std::string label = "callback",
                            core::CornerBatchEvalFn batchFn = {},
@@ -108,22 +85,18 @@ class CallbackBackend final : public EvalBackend {
 
   std::string_view name() const override { return label_; }
 
-  core::EvalResult evaluate(const linalg::Vector& sizes,
-                            const sim::PvtCorner& corner) const override {
-    return fn_(sizes, corner);
-  }
-
   std::size_t batchWidth() const override { return batchFn_ ? width_ : 1; }
 
   void evaluateBatch(const linalg::Vector* const* sizes,
                      const sim::PvtCorner* corners,
-                     const EvalContext* contexts, core::EvalResult* results,
+                     const EvalContext* /*contexts*/,
+                     core::EvalResult* results,
                      std::size_t count) const override {
     if (batchFn_) {
-      (void)contexts;  // callbacks carry no request identity
       batchFn_(sizes, corners, results, count);
     } else {
-      EvalBackend::evaluateBatch(sizes, corners, contexts, results, count);
+      for (std::size_t i = 0; i < count; ++i)
+        results[i] = fn_(*sizes[i], corners[i]);
     }
   }
 

@@ -26,26 +26,23 @@ class CircuitBackend final : public EvalBackend {
   /// timing reports.
   std::string_view name() const override { return label_; }
 
-  core::EvalResult evaluate(const linalg::Vector& sizes,
-                            const sim::PvtCorner& corner) const override {
-    return problem_.evaluate(sizes, corner);
-  }
-
-  /// Registry circuits ship a fused corner-batch evaluator (lane width
-  /// sim::kSimLanes, bitwise identical to the scalar path per slot).
+  /// The built-in registry circuits evaluate through the lane engines
+  /// (sim/op_batch.hpp): batch width sim::kSimLanes. A user-registered
+  /// problem without a batch evaluator has width 1 and loops `evaluate`.
   std::size_t batchWidth() const override {
     return problem_.evaluateBatch ? sim::kSimLanes : 1;
   }
 
   void evaluateBatch(const linalg::Vector* const* sizes,
                      const sim::PvtCorner* corners,
-                     const EvalContext* contexts, core::EvalResult* results,
+                     const EvalContext* /*contexts*/,
+                     core::EvalResult* results,
                      std::size_t count) const override {
     if (problem_.evaluateBatch) {
-      (void)contexts;
       problem_.evaluateBatch(sizes, corners, results, count);
     } else {
-      EvalBackend::evaluateBatch(sizes, corners, contexts, results, count);
+      for (std::size_t i = 0; i < count; ++i)
+        results[i] = problem_.evaluate(*sizes[i], corners[i]);
     }
   }
 

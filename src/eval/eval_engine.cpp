@@ -205,54 +205,7 @@ void EvalEngine::restoreState(io::SectionReader& r) {
   unpublished_.clear();
 }
 
-core::EvalResult EvalEngine::runWithRetry(const MissRef& ref,
-                                          MissTrace& trace) const {
-  const RetryPolicy& retry = config_.retry;
-  const std::size_t maxAttempts = std::max<std::size_t>(1, retry.maxAttempts);
-  trace = MissTrace{};
-  sim::FaultClass last = sim::FaultClass::kNone;
-  for (std::size_t attempt = 0; attempt < maxAttempts; ++attempt) {
-    EvalContext ctx;
-    ctx.indices = ref.indices;
-    ctx.cornerIndex = ref.cornerIndex;
-    ctx.attempt = attempt;
-    const auto t0 = std::chrono::steady_clock::now();
-    core::EvalResult r =
-        backend_->evaluate(*ref.sizes, corners_[ref.cornerIndex], ctx);
-    const double elapsed = secondsSince(t0);
-    trace.seconds += elapsed;
-    // Classify the attempt: the backend's own verdict first, then the
-    // wall-clock deadline, then the finiteness guard. The guard runs even
-    // without any injector — a real backend emitting NaN must be treated as
-    // a fault, not memoized and spread through shared caches.
-    sim::FaultClass cls = r.failure;
-    if (cls == sim::FaultClass::kNone && retry.timeoutSeconds > 0.0 &&
-        elapsed > retry.timeoutSeconds)
-      cls = sim::FaultClass::kTimeout;
-    if (cls == sim::FaultClass::kNone && r.ok && !allFinite(r.measurements))
-      cls = sim::FaultClass::kNonFinite;
-    if (cls == sim::FaultClass::kNone) {
-      trace.retries = static_cast<std::uint32_t>(attempt);
-      return r;
-    }
-    last = cls;
-    if (attempt + 1 < maxAttempts) {
-      // Charge deterministic backoff for the retry about to happen. Units
-      // are ledger bookkeeping, not sleeps: the cost model stays bitwise
-      // reproducible and tests stay fast.
-      const std::size_t unit =
-          std::min(retry.backoffBase << attempt, retry.backoffCap);
-      trace.backoff += static_cast<std::uint32_t>(unit);
-    }
-  }
-  trace.retries = static_cast<std::uint32_t>(maxAttempts - 1);
-  core::EvalResult failed;
-  failed.ok = false;
-  failed.failure = last;
-  return failed;
-}
-
-void EvalEngine::runBatchWithRetry(std::vector<core::EvalResult>& results,
+void EvalEngine::runBatchWithRetry(core::EvalResult* results,
                                    std::size_t begin, std::size_t count) {
   const RetryPolicy& retry = config_.retry;
   const std::size_t maxAttempts = std::max<std::size_t>(1, retry.maxAttempts);
@@ -288,13 +241,14 @@ void EvalEngine::runBatchWithRetry(std::vector<core::EvalResult>& results,
                             attemptResults.data(), active.size());
     const double elapsed = secondsSince(t0);
     // Wall time is charged once per backend call (stats_.backendSeconds sums
-    // traces); it is measurement-only, so the lane attribution is free to
-    // differ from the scalar path's.
+    // traces); it is measurement-only, so which lane carries it is free.
     missTrace_[begin].seconds += elapsed;
-    // Classify each lane exactly as runWithRetry would have (result fault,
-    // wall-clock deadline, finiteness guard); the deadline uses the batch
-    // call's elapsed time, which — like every wall-clock classification — is
-    // outside the determinism contract.
+    // Classify each lane: the backend's own verdict first, then the
+    // wall-clock deadline (the batch call's elapsed time — like every
+    // wall-clock classification, outside the determinism contract), then the
+    // finiteness guard. The guard runs even without any injector — a real
+    // backend emitting NaN must be treated as a fault, not memoized and
+    // spread through shared caches.
     std::vector<std::size_t> still;
     for (std::size_t p = 0; p < active.size(); ++p) {
       const std::size_t lane = active[p];
@@ -313,6 +267,9 @@ void EvalEngine::runBatchWithRetry(std::vector<core::EvalResult>& results,
       }
       last[lane] = cls;
       if (attempt + 1 < maxAttempts) {
+        // Charge deterministic backoff for the retry about to happen. Units
+        // are ledger bookkeeping, not sleeps: the cost model stays bitwise
+        // reproducible and tests stay fast.
         const std::size_t unit =
             std::min(retry.backoffBase << attempt, retry.backoffCap);
         trace.backoff += static_cast<std::uint32_t>(unit);
@@ -331,34 +288,16 @@ void EvalEngine::runBatchWithRetry(std::vector<core::EvalResult>& results,
 
 void EvalEngine::dispatchMisses(std::vector<core::EvalResult>& results) {
   missTrace_.assign(missRefs_.size(), MissTrace{});
+  // Consecutive chunks of the backend's lane width, the last one ragged.
+  // Chunk boundaries depend only on the miss count and the width, and a
+  // slot's result depends on its own operating point alone, so the outcome
+  // is the same for any thread count.
   const std::size_t nMiss = missRefs_.size();
-  const std::size_t width =
-      config_.batchedSim ? backend_->batchWidth() : std::size_t{1};
-  if (width > 1) {
-    // Chunk the miss queue into full lanes. A trailing chunk of exactly one
-    // lane would pay for a whole wide simulator pass (width - 1 idle lanes)
-    // to produce one result; the scalar path produces the identical bits —
-    // that is the batch contract — at one lane's cost, so route it there.
-    // Chunk boundaries still depend only on the miss count and the width,
-    // and every path is bitwise per-slot identical, so the outcome is the
-    // same for any thread count and any dispatch shape.
-    const std::size_t batched = (nMiss % width == 1) ? nMiss - 1 : nMiss;
-    const std::size_t chunks = (batched + width - 1) / width;
-    const std::size_t tasks = chunks + (nMiss - batched);
-    pool_.parallelFor(tasks, [&](std::size_t t) {
-      if (t < chunks) {
-        const std::size_t begin = t * width;
-        runBatchWithRetry(results, begin, std::min(width, batched - begin));
-      } else {
-        const std::size_t m = batched + (t - chunks);
-        results[missRefs_[m].slot] = runWithRetry(missRefs_[m], missTrace_[m]);
-      }
-    });
-  } else {
-    pool_.parallelFor(nMiss, [&](std::size_t m) {
-      results[missRefs_[m].slot] = runWithRetry(missRefs_[m], missTrace_[m]);
-    });
-  }
+  const std::size_t width = std::max<std::size_t>(1, backend_->batchWidth());
+  pool_.parallelFor((nMiss + width - 1) / width, [&](std::size_t c) {
+    const std::size_t begin = c * width;
+    runBatchWithRetry(results.data(), begin, std::min(width, nMiss - begin));
+  });
   for (const MissTrace& t : missTrace_) stats_.backendSeconds += t.seconds;
   harvestSimPhases();
 }
@@ -470,12 +409,8 @@ std::vector<core::EvalResult> EvalEngine::evalBatch(
   }
 
   // ---- Fan the real simulations out; results land in per-request slots.
-  // With a batch-capable backend, misses go down in consecutive chunks of
-  // the backend's lane width (one fused simulator pass per chunk, chunks in
-  // parallel, a lone trailing lane scalar); otherwise each miss runs its own
-  // scalar retry loop. Chunk boundaries depend only on the miss list and the
-  // width, and every path is bitwise per-slot identical, so the outcome is
-  // the same for any thread count and either dispatch mode.
+  // Misses go down in consecutive chunks of the backend's lane width (one
+  // simulator pass per chunk, chunks in parallel).
   dispatchMisses(results);
 
   // ---- Merge and account after the join, in request order: cache inserts,
@@ -524,9 +459,12 @@ core::EvalResult EvalEngine::evalOne(std::size_t cornerIdx,
       }
     }
   }
-  MissTrace trace;
-  const MissRef ref{0, &snapScratch_, &keyScratch_.indices, cornerIdx};
-  core::EvalResult result = runWithRetry(ref, trace);
+  // A chunk of one through the same retry loop evalBatch uses.
+  missRefs_.assign(1, {0, &snapScratch_, &keyScratch_.indices, cornerIdx});
+  missTrace_.assign(1, MissTrace{});
+  core::EvalResult result;
+  runBatchWithRetry(&result, 0, 1);
+  const MissTrace trace = missTrace_[0];
   stats_.backendSeconds += trace.seconds;
   harvestSimPhases();
   const bool failed = result.failure != sim::FaultClass::kNone;

@@ -81,14 +81,6 @@ struct EvalEngineConfig {
   /// SizingEnv — turn this off so the ledger does not grow unbounded;
   /// EvalStats counters are kept either way.
   bool recordLedger = true;
-  /// Submit cache misses as corner-batches to backends whose batchWidth()
-  /// exceeds 1 (the lane-blocked simulator, sim/op_batch.hpp). Because the
-  /// batch contract is bitwise per-slot equivalence with the scalar path,
-  /// results, ledgers, and stats are identical either way — the knob only
-  /// changes how fast misses simulate. Off = one backend call per miss (the
-  /// pre-batching behavior, and the scalar reference the differential tests
-  /// compare against).
-  bool batchedSim = true;
   /// Retry/timeout handling for faulted attempts.
   RetryPolicy retry{};
 };
@@ -280,7 +272,7 @@ class EvalEngine {
   /// keyScratch_.indices with the grid indices (no allocation steady-state).
   void prepareKey(const linalg::Vector& sizes);
 
-  /// Per-miss retry bookkeeping filled by runWithRetry.
+  /// Per-miss retry bookkeeping filled by runBatchWithRetry.
   struct MissTrace {
     std::uint32_t retries = 0;  ///< extra attempts beyond the first
     std::uint32_t backoff = 0;  ///< backoff units charged for those retries
@@ -298,33 +290,25 @@ class EvalEngine {
     std::size_t cornerIndex = 0;
   };
 
-  /// Run one queued miss through the retry loop: classify each attempt
-  /// (result fault, deadline, finiteness), retry transient faults with
-  /// deterministic backoff, and return either a clean result or a typed
-  /// failed one after exhaustion. Thread-safe: reads only state that is
+  /// Drive the miss chunk missRefs_[begin .. begin+count) through a lockstep
+  /// retry loop — one backend evaluateBatch call per attempt round over the
+  /// lanes still faulted — writing `results[slot]` and the missTrace_ entry
+  /// of each lane. Each attempt is classified (result fault, deadline,
+  /// finiteness); transient faults retry with deterministic backoff; a lane
+  /// that exhausts its attempts gets a typed failed result. The fault
+  /// identity tuple (indices, corner, attempt) is per lane, so neither the
+  /// classification nor a decorator's schedule depends on the chunk shape;
+  /// backend wall time, which is measurement-only, is charged once per
+  /// backend call to the chunk's first lane. Thread-safe: reads only state
   /// frozen during a batch's parallel section (the per-call sizing/index
-  /// storage, config, backend) and writes only through `trace`.
-  core::EvalResult runWithRetry(const MissRef& ref, MissTrace& trace) const;
+  /// storage, config, backend) and writes disjoint result/trace slots.
+  void runBatchWithRetry(core::EvalResult* results, std::size_t begin,
+                         std::size_t count);
 
-  /// Corner-batch counterpart of runWithRetry: drive the miss chunk
-  /// missRefs_[begin .. begin+count) through a lockstep retry loop — one
-  /// backend evaluateBatch call per attempt round over the lanes still
-  /// faulted — writing results and missTrace_ entries for each lane.
-  /// Per-lane classification, retry counts, and backoff charges are exactly
-  /// what runWithRetry produces for that lane alone (the fault identity
-  /// tuple (indices, corner, attempt) is per lane, so a decorator's schedule
-  /// cannot tell the paths apart); backend wall time, which is
-  /// measurement-only, is charged once per backend call to the chunk's first
-  /// lane. Thread-safe under the same rules as runWithRetry; chunks write
-  /// disjoint result/trace slots.
-  void runBatchWithRetry(std::vector<core::EvalResult>& results,
-                         std::size_t begin, std::size_t count);
-
-  /// Fan the queued misses (missRefs_) out across the pool: full chunks of
-  /// the backend's batch width, except that a trailing chunk of exactly one
-  /// lane runs the scalar path (identical bits at one lane's cost instead of
-  /// a whole idle-lane batch). Fills missTrace_, charges backendSeconds, and
-  /// samples the simulator phase counters.
+  /// Fan the queued misses (missRefs_) out across the pool in consecutive
+  /// chunks of the backend's batch width, the last one ragged. Fills
+  /// missTrace_, charges backendSeconds, and samples the simulator phase
+  /// counters.
   void dispatchMisses(std::vector<core::EvalResult>& results);
 
   /// Fold the process-wide sim phase counters' growth since the last sample

@@ -20,11 +20,6 @@ FaultInjector::FaultInjector(std::shared_ptr<const EvalBackend> inner,
   label_ = "faulty:" + std::string(inner_->name());
 }
 
-core::EvalResult FaultInjector::evaluate(const linalg::Vector& sizes,
-                                         const sim::PvtCorner& corner) const {
-  return inner_->evaluate(sizes, corner);
-}
-
 namespace {
 
 /// Indices list of a context (empty when the caller supplied none).
@@ -45,8 +40,7 @@ core::EvalResult makeTimeoutResult(const sim::FaultPlan& plan) {
   return r;
 }
 
-/// Apply the kNonFinite corruption to an inner result (shared by the scalar
-/// and batch paths so the corrupted slot is identical in both).
+/// Apply the kNonFinite corruption to an inner result.
 void corruptNonFinite(std::uint64_t scopeHash, const EvalContext& context,
                       core::EvalResult& r) {
   if (r.ok && !r.measurements.empty()) {
@@ -68,44 +62,17 @@ void corruptNonFinite(std::uint64_t scopeHash, const EvalContext& context,
 
 }  // namespace
 
-core::EvalResult FaultInjector::evaluate(const linalg::Vector& sizes,
-                                         const sim::PvtCorner& corner,
-                                         const EvalContext& context) const {
-  const sim::FaultClass cls = plan_->decide(
-      scopeHash_, contextIndices(context), context.cornerIndex, context.attempt);
-  switch (cls) {
-    case sim::FaultClass::kNone:
-      return inner_->evaluate(sizes, corner, context);
-    case sim::FaultClass::kTimeout:
-      return makeTimeoutResult(*plan_);
-    case sim::FaultClass::kNonConvergence: {
-      core::EvalResult r;
-      r.ok = false;
-      r.failure = sim::FaultClass::kNonConvergence;
-      return r;
-    }
-    case sim::FaultClass::kNonFinite: {
-      core::EvalResult r = inner_->evaluate(sizes, corner, context);
-      corruptNonFinite(scopeHash_, context, r);
-      return r;
-    }
-  }
-  return inner_->evaluate(sizes, corner, context);
-}
-
 void FaultInjector::evaluateBatch(const linalg::Vector* const* sizes,
                                   const sim::PvtCorner* corners,
                                   const EvalContext* contexts,
                                   core::EvalResult* results,
                                   std::size_t count) const {
-  // Draw every lane's fault class from the same identity tuple the scalar
-  // override uses, then forward the lanes that need the inner simulator
-  // (clean lanes and kNonFinite lanes, whose corruption rides on a real
-  // result) as one compacted inner batch. The inner batch is bitwise
-  // per-slot identical to scalar inner calls, and the synthesized failures /
-  // corruption are computed by the shared helpers, so a fault scheduled for
-  // (sizing, corner, attempt) lands in exactly the same slot with exactly
-  // the same bytes on either dispatch path.
+  // Draw every lane's fault class from its identity tuple, then forward the
+  // lanes that need the inner simulator (clean lanes and kNonFinite lanes,
+  // whose corruption rides on a real result) as one compacted inner batch.
+  // Inner slots depend on their own operating point alone, so a fault
+  // scheduled for (sizing, corner, attempt) lands in exactly the same slot
+  // with exactly the same bytes whatever the chunk shape.
   std::vector<sim::FaultClass> cls(count);
   std::vector<std::size_t> fwd;
   std::vector<const linalg::Vector*> fwdSizes;

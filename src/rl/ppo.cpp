@@ -35,6 +35,11 @@ void ppoUpdateBatched(nn::Mlp& policy, nn::Mlp& critic,
   linalg::Matrix eg;
   linalg::Matrix gv;
   linalg::Vector newLps;
+  // Clears gradients a caller may have left behind; after that each
+  // optimizer step zeroes the gradients it consumes, so every mini-batch
+  // starts from zero without another pass over the buffers.
+  policy.zeroGrad();
+  critic.zeroGrad();
   for (std::size_t epoch = 0; epoch < cfg.epochs; ++epoch) {
     std::shuffle(order.begin(), order.end(), rng);
     for (std::size_t start = 0; start < order.size(); start += cfg.minibatch) {
@@ -51,8 +56,6 @@ void ppoUpdateBatched(nn::Mlp& policy, nn::Mlp& critic,
         actsMb[r] = data.actions[i];
       }
 
-      policy.zeroGrad();
-      critic.zeroGrad();
       const linalg::Matrix& logits = policy.forwardBatch(obsMb);
       nn::softmaxSegments(logits, apH, sm);
       nn::logSoftmaxSegments(logits, apH, lsm);

@@ -1,6 +1,8 @@
-// Nonlinear DC operating-point solver: Newton-Raphson over the MNA system
-// with per-node step damping, falling back to gmin stepping and then source
-// stepping when the plain iteration fails — the standard SPICE ladder.
+// DC operating-point options and result. The solver is solveDcBatch
+// (sim/op_batch.hpp): Newton-Raphson over the MNA system with per-node step
+// damping, falling back to gmin stepping and then source stepping when the
+// plain iteration fails — the standard SPICE ladder. A one-point solve is a
+// batch with one active lane.
 #pragma once
 
 #include <vector>
@@ -29,21 +31,6 @@ struct DcResult {
   double nodeVoltage(NodeId n) const { return v[static_cast<std::size_t>(n)]; }
   /// Current through the idx-th voltage source (positive p -> n).
   double vsourceCurrent(std::size_t idx) const { return branchCurrents[idx]; }
-};
-
-class DcSolver {
- public:
-  explicit DcSolver(const Netlist& netlist, DcOptions options = {});
-
-  /// Solve from an optional initial node-voltage guess (size nodeCount).
-  DcResult solve(const linalg::Vector* initialGuess = nullptr) const;
-
- private:
-  DcResult newtonLoop(linalg::Vector v, double gmin, double srcScale,
-                      int maxIter) const;
-
-  const Netlist& netlist_;
-  DcOptions options_;
 };
 
 }  // namespace trdse::sim

@@ -1,8 +1,8 @@
-// Batched operating-point engines. See op_batch.hpp for the lane-equivalence
-// contract. Everything here replicates the scalar solvers' floating-point
-// expressions literally, per lane, in the scalar stamp order; this TU is
-// compiled with FP contraction off (see CMakeLists.txt) so the replicated
-// expressions cannot fuse differently from the scalar TUs.
+// Operating-point engines. See op_batch.hpp for the lane-independence
+// contract. Every floating-point expression runs per lane in a fixed stamp
+// order (the MNA stamp order of the classic one-point SPICE loop, which the
+// committed goldens pin); this TU is compiled with FP contraction off (see
+// CMakeLists.txt) so the same expression cannot fuse differently.
 #include "sim/op_batch.hpp"
 
 #include <algorithm>
@@ -66,8 +66,7 @@ void clearLaneToIdentity(LaneSystem& sys, int l) {
   for (std::size_t i = 0; i < sys.n; ++i) sys.rv(i, l) = 0.0;
 }
 
-// Per-lane stamp helpers mirroring the scalar solvers' stampG/stampI/addAt
-// (same ground skips, same += order).
+// Per-lane MNA stamp helpers (ground rows/columns skipped, fixed += order).
 void stampG(LaneSystem& sys, const Netlist& nl, int l, NodeId a, NodeId b,
             double g) {
   if (a != kGround) {
@@ -103,9 +102,9 @@ void addAt(LaneSystem& sys, const Netlist& nl, int l, NodeId r, NodeId cNode,
 
 // ---------------------------------------------------------------------------
 // Lane-blocked real LU. Pivot choice and row swaps are per lane (identical to
-// the scalar LuSolver's partial pivoting, decided on the lane's own values);
-// the elimination arithmetic runs vectorized across the lane dimension, which
-// per lane is the exact op sequence scalar factor() performs.
+// linalg::LuSolver's partial pivoting, decided on the lane's own values); the
+// elimination arithmetic runs vectorized across the lane dimension, which per
+// lane is the exact op sequence LuSolver::factor() performs.
 // ---------------------------------------------------------------------------
 struct LaneLu {
   std::size_t n = 0;
@@ -465,7 +464,7 @@ bool sameTopology(const Netlist& a, const Netlist& b) {
 // ---------------------------------------------------------------------------
 namespace {
 
-// DcSolver::solve's fallback ladder, phase-encoded:
+// The DC convergence ladder, phase-encoded:
 //   0        plain Newton from the guess
 //   1..9     gmin stepping (kGminLadder), warm-started
 //   10       retry at opts.gmin from the gmin-ladder warm vector (terminal on
@@ -504,8 +503,8 @@ void dcStartLoop(DcLane& ln, const linalg::Vector& start, double gmin,
   if (opts.maxIterations <= 0) dcEndLoop(ln, false, nl, opts);
 }
 
-/// Converged terminal loop: same finalization newtonLoop performs, through
-/// the same scalar device kernels.
+/// Converged terminal loop: result assembly, with the operating points
+/// re-evaluated at the converged voltages through the scalar device kernels.
 void dcFinalize(DcLane& ln, const Netlist& nl) {
   DcResult& r = ln.result;
   r.converged = true;
@@ -849,6 +848,7 @@ std::array<DcResult, kSimLanes> solveDcBatch(
 
   for (int l = 0; l < L; ++l)
     if (lanes[l].active) out[l] = std::move(lanes[l].result);
+  flushSimPhases();
   return out;
 }
 
@@ -857,8 +857,8 @@ std::array<DcResult, kSimLanes> solveDcBatch(
 // ---------------------------------------------------------------------------
 namespace {
 
-// Companion states, one set per lane, in TransientSolver::run's collection
-// order (explicit capacitors first, then per-MOSFET parasitics).
+// Companion states, one set per lane, in collection order (explicit
+// capacitors first, then per-MOSFET parasitics).
 struct BatchCapState {
   NodeId a = kGround;
   NodeId b = kGround;
@@ -1179,6 +1179,7 @@ void TransientBatch::step(std::size_t n) {
     for (int l = 0; l < L; ++l)
       if (im.alive[l]) im.results[l].completed = true;
   }
+  flushSimPhases();
 }
 
 void TransientBatch::run() { step(impl_->totalSteps); }
@@ -1264,7 +1265,7 @@ AcBatch::AcBatch(const std::array<const Netlist*, kSimLanes>& nls,
   }
 }
 
-AcBatch::~AcBatch() = default;
+AcBatch::~AcBatch() { flushSimPhases(); }
 
 void AcBatch::solveAt(double freqHz) {
   Impl& im = *impl_;

@@ -1,25 +1,30 @@
-// Batched operating-point backend: DC, transient, and AC engines that drive
+// The operating-point engines: DC, transient, and AC solvers that drive up to
 // kSimLanes (sizing, corner) operating points through one Newton/LU pipeline.
+// They are the only DC and transient solvers; a one-point analysis is a batch
+// with one active lane and null lanes elsewhere.
 //
-// The contract every engine here honors is *bitwise lane equivalence*: lane l
-// of a batch reproduces, bit for bit, what the scalar solver (DcSolver,
-// TransientSolver, AcSolver) produces for that lane's netlist alone. Three
+// The contract every engine here honors is *lane independence*: lane l's
+// result is a function of lane l's netlist (and guess / initial state) alone,
+// bit for bit — the same netlist alone in a one-lane batch, or next to any
+// other lanes, or with any lanes left null, yields identical bits. Three
 // mechanisms make that hold:
 //   1. Device cards are evaluated through the shared block kernels
 //      (evalMosBlock / evalDiodeBlock), whose lanes are bitwise identical to
-//      the scalar calls by construction (see sim/mosfet.hpp).
-//   2. Stamps, Newton updates, and convergence tests replicate the scalar
-//      solvers' expressions literally, per lane, in the scalar solvers' stamp
-//      order; the involved translation units are compiled with FP contraction
-//      off so the same source expression cannot fuse differently.
-//   3. The lane-blocked LU factors each lane with the scalar pivoting rule
-//      (per-lane pivot scan and row swaps) while vectorizing the elimination
-//      across lanes — arithmetic per lane is unchanged.
+//      the scalar device calls by construction (see sim/mosfet.hpp).
+//   2. Stamps, Newton updates, and convergence tests are evaluated per lane in
+//      a fixed stamp order; the involved translation units are compiled with
+//      FP contraction off so the same source expression cannot fuse
+//      differently.
+//   3. The lane-blocked LU factors each lane with its own pivoting (per-lane
+//      pivot scan and row swaps) while vectorizing the elimination across
+//      lanes — no arithmetic mixes lanes.
 //
-// Lanes are independent: a lane's trajectory never depends on what the other
-// lanes hold, so partially-filled batches (null lanes) and lanes that freeze
-// early (converged / failed) are safe. tests/sim_batch_test.cpp locks the
-// equivalence over every registry circuit, corner set, and thread count.
+// Lanes that freeze early (converged / failed) are therefore safe, and
+// tests/sim_batch_test.cpp pins the actual values with committed goldens (bit
+// hashes of the DC operating points and transient traces), checks lane
+// independence over every subset of active lanes, and checks the physics
+// against closed forms (KCL at every converged operating point, trapezoidal
+// error order, DC-consistent AC gain).
 #pragma once
 
 #include <array>
@@ -42,29 +47,29 @@ namespace trdse::sim {
 /// for.
 bool sameTopology(const Netlist& a, const Netlist& b);
 
-/// Batched DC operating point over up to kSimLanes netlists of one topology.
-/// Null lanes are skipped (their result stays default-constructed). Lane l of
-/// the result is bitwise identical to
-///   DcSolver(*nls[l], opts).solve(guesses[l]).
-/// Each lane runs the scalar solver's full convergence ladder (plain Newton,
-/// gmin stepping, source stepping) as an independent state machine; lanes at
-/// different ladder stages still share each lockstep iteration's block device
+/// DC operating point over up to kSimLanes netlists of one topology. Null
+/// lanes are skipped (their result stays default-constructed). A null or
+/// wrongly-sized guess starts that lane from all-zero node voltages.
+/// Each lane runs the full convergence ladder (plain Newton, gmin stepping,
+/// source stepping) as an independent state machine; lanes at different
+/// ladder stages still share each lockstep iteration's block device
 /// evaluation and lane-blocked LU.
 std::array<DcResult, kSimLanes> solveDcBatch(
     const std::array<const Netlist*, kSimLanes>& nls,
     const std::array<const linalg::Vector*, kSimLanes>& guesses,
     const DcOptions& opts = {});
 
-/// Batched trapezoidal transient with an incremental stepping API. Lanes run
-/// in lockstep (same dt, same step count); within a time step each lane's
+/// Trapezoidal transient with an incremental stepping API. Lanes run in
+/// lockstep (same dt, same step count); within a time step each lane's
 /// Newton iteration freezes independently on its own convergence test.
+/// Companion currents start at zero, so a run started away from equilibrium
+/// takes its first step as backward Euler over dt/2.
 ///
 /// step(k) followed by step(n - k) is state-identical to step(n) — the
 /// companion states, voltages, and recorded traces carry over exactly — which
-/// is what lets a consumer interleave lanes with other work. Lane l's result
-/// is bitwise identical to TransientSolver(*nls[l], opts).run(*initial[l]);
-/// a lane whose Newton fails (or whose matrix goes singular) stops recording
-/// at that step with completed == false, exactly like the scalar solver.
+/// is what lets a consumer interleave lanes with other work. A lane whose
+/// Newton fails (or whose matrix goes singular) stops recording at that step
+/// with completed == false.
 class TransientBatch {
  public:
   /// `nls[l] == nullptr` disables lane l. Active lanes must share topology
@@ -94,17 +99,16 @@ class TransientBatch {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Batched small-signal AC over up to kSimLanes operating points. Builds the
-/// per-lane G/C/b stamps through the scalar AcSolver (identical matrices by
-/// construction) and solves every frequency point with a lane-blocked complex
-/// LU over split re/im planes and persistent workspaces — no per-frequency
-/// allocation.
+/// Small-signal AC over up to kSimLanes operating points. Builds the
+/// per-lane G/C/b stamps through the scalar AcSolver and solves every
+/// frequency point with a lane-blocked complex LU over split re/im planes and
+/// persistent workspaces — no per-frequency allocation.
 ///
-/// Lane equivalence: the complex arithmetic is the naive schoolbook formula,
-/// which is what std::complex performs unless an intermediate turns NaN (the
-/// Annex-G recovery path). solveAt() therefore reports per-lane finiteness;
-/// a lane flagged non-finite must be redone through the scalar AcSolver —
-/// whose recovered values are then the shared truth (see laneFinite()).
+/// The complex arithmetic is the naive schoolbook formula, which is what
+/// std::complex performs unless an intermediate turns NaN (the Annex-G
+/// recovery path). solveAt() therefore reports per-lane finiteness; a lane
+/// flagged non-finite must be redone through the scalar AcSolver — whose
+/// recovered values are then the result (see laneFinite()).
 class AcBatch {
  public:
   /// `ops[l] == nullptr` disables lane l; active lanes need a converged

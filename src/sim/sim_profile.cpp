@@ -9,6 +9,9 @@ namespace {
 
 std::atomic<bool> gEnabled{false};
 std::atomic<std::uint64_t> gPhaseNs[4] = {};
+/// This thread's phase time not yet published to gPhaseNs: the hot loops add
+/// here without touching a shared cache line.
+thread_local std::uint64_t tPendingNs[4] = {};
 
 }  // namespace
 
@@ -34,7 +37,15 @@ void resetSimPhaseTotals() {
 }
 
 void addSimPhaseNs(SimPhase phase, std::uint64_t ns) {
-  gPhaseNs[static_cast<int>(phase)].fetch_add(ns, std::memory_order_relaxed);
+  tPendingNs[static_cast<int>(phase)] += ns;
+}
+
+void flushSimPhases() {
+  for (int k = 0; k < 4; ++k) {
+    if (tPendingNs[k] == 0) continue;
+    gPhaseNs[k].fetch_add(tPendingNs[k], std::memory_order_relaxed);
+    tPendingNs[k] = 0;
+  }
 }
 
 std::int64_t simProfileNowNs() {

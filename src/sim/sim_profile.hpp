@@ -9,9 +9,14 @@
 // per phase scope, and downstream consumers (EvalStats equality checks,
 // checkpoint round-trips) see stable all-zero values.
 //
-// The totals are process-global (relaxed atomic adds), aggregated across all
-// engine pool workers; they are diagnostics, not resumable state, and are
-// deliberately excluded from the checkpoint wire format.
+// Timed scopes accumulate into per-thread counters; each engine entry point
+// (solveDcBatch, TransientBatch::step, the AcBatch destructor) publishes its
+// thread's pending time to the process-global totals (relaxed atomic adds)
+// before it returns, so the totals are complete whenever no engine call is in
+// flight and the hot loops never contend on a shared cache line. The totals
+// aggregate across all engine pool workers; they are diagnostics, not
+// resumable state, and are deliberately excluded from the checkpoint wire
+// format.
 
 #include <cstdint>
 
@@ -30,7 +35,10 @@ bool simProfilingEnabled();
 void setSimProfiling(bool on);
 SimPhaseTotals simPhaseTotals();
 void resetSimPhaseTotals();
+/// Add to this thread's pending time for `phase`.
 void addSimPhaseNs(SimPhase phase, std::uint64_t ns);
+/// Publish this thread's pending phase time to the process-wide totals.
+void flushSimPhases();
 
 /// Monotonic clock read, only meaningful for differences.
 std::int64_t simProfileNowNs();

@@ -1,255 +1,9 @@
 #include "sim/transient.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
-#include "linalg/lu.hpp"
-#include "sim/diode.hpp"
-
 namespace trdse::sim {
-
-namespace {
-
-struct CapState {
-  NodeId a = kGround;
-  NodeId b = kGround;
-  double c = 0.0;
-  double vPrev = 0.0;  ///< v(a) - v(b) at the previous accepted step
-  double iPrev = 0.0;  ///< companion current at the previous step
-};
-
-void stampG(linalg::Matrix& A, const Netlist& nl, NodeId a, NodeId b, double g) {
-  if (a != kGround) {
-    const std::size_t ia = nl.nodeIndex(a);
-    A(ia, ia) += g;
-    if (b != kGround) A(ia, nl.nodeIndex(b)) -= g;
-  }
-  if (b != kGround) {
-    const std::size_t ib = nl.nodeIndex(b);
-    A(ib, ib) += g;
-    if (a != kGround) A(ib, nl.nodeIndex(a)) -= g;
-  }
-}
-
-void stampI(linalg::Vector& rhs, const Netlist& nl, NodeId a, NodeId b, double i) {
-  if (a != kGround) rhs[nl.nodeIndex(a)] -= i;
-  if (b != kGround) rhs[nl.nodeIndex(b)] += i;
-}
-
-void addAt(linalg::Matrix& A, const Netlist& nl, NodeId r, NodeId c, double v) {
-  if (r == kGround || c == kGround) return;
-  A(nl.nodeIndex(r), nl.nodeIndex(c)) += v;
-}
-
-}  // namespace
-
-TransientSolver::TransientSolver(const Netlist& netlist, TransientOptions options)
-    : netlist_(netlist), options_(options) {}
-
-TransientResult TransientSolver::run(const linalg::Vector& initialVoltages) const {
-  const Netlist& nl = netlist_;
-  const std::size_t n = nl.unknownCount();
-  TransientResult result;
-  assert(initialVoltages.size() == nl.nodeCount());
-
-  // Collect all capacitors (explicit + device parasitics) as companion states.
-  std::vector<CapState> caps;
-  for (const auto& c : nl.capacitors()) caps.push_back({c.a, c.b, c.farads, 0, 0});
-  if (options_.includeDeviceCaps) {
-    for (const auto& fet : nl.mosfets()) {
-      const double cgg = gateCapacitance(fet.params, fet.geom);
-      caps.push_back({fet.g, fet.s, 0.7 * cgg, 0, 0});
-      caps.push_back({fet.g, fet.d, 0.3 * cgg, 0, 0});
-      caps.push_back({fet.d, fet.b, drainCapacitance(fet.params, fet.geom), 0, 0});
-    }
-  }
-
-  linalg::Vector v = initialVoltages;  // node voltages incl. ground
-  for (auto& cs : caps) {
-    cs.vPrev = v[static_cast<std::size_t>(cs.a)] - v[static_cast<std::size_t>(cs.b)];
-    cs.iPrev = 0.0;
-  }
-
-  // Inductor companion state: branch current + branch voltage history.
-  struct IndState {
-    double iPrev = 0.0;
-    double vPrev = 0.0;
-  };
-  std::vector<IndState> inds(nl.inductors().size());
-  for (std::size_t k = 0; k < inds.size(); ++k) {
-    const auto& ind = nl.inductors()[k];
-    inds[k].vPrev = v[static_cast<std::size_t>(ind.a)] -
-                    v[static_cast<std::size_t>(ind.b)];
-  }
-
-  const double h = options_.dt;
-  const std::size_t steps = static_cast<std::size_t>(options_.tStop / h);
-  const std::size_t nBranches = nl.branchCount();
-  result.times.reserve(steps + 1);
-  result.voltages.reserve(steps + 1);
-  result.branchCurrents.reserve(steps + 1);
-  result.times.push_back(0.0);
-  result.voltages.push_back(v);
-  result.branchCurrents.emplace_back(nBranches, 0.0);
-
-  linalg::Matrix A(n, n);
-  linalg::Vector rhs(n, 0.0);
-  linalg::LuSolver<double> lu;
-
-  for (std::size_t step = 1; step <= steps; ++step) {
-    // Newton iterations for this time point; warm-start from the last point.
-    linalg::Vector vIter = v;
-    bool converged = false;
-    linalg::Vector x;
-    for (int it = 0; it < options_.maxNewtonIterations; ++it) {
-      A.fill(0.0);
-      std::fill(rhs.begin(), rhs.end(), 0.0);
-
-      for (const auto& r : nl.resistors()) stampG(A, nl, r.a, r.b, 1.0 / r.ohms);
-      for (std::size_t i = 1; i < nl.nodeCount(); ++i)
-        A(i - 1, i - 1) += 1e-12;  // gmin
-
-      for (const auto& src : nl.isources()) stampI(rhs, nl, src.p, src.n, src.idc);
-
-      for (const auto& g : nl.vccs()) {
-        addAt(A, nl, g.p, g.cp, g.gm);
-        addAt(A, nl, g.p, g.cn, -g.gm);
-        addAt(A, nl, g.n, g.cp, -g.gm);
-        addAt(A, nl, g.n, g.cn, g.gm);
-      }
-
-      // Inductor trapezoidal companion:
-      //   i_new = i_old + h/(2L) (v_new + v_old)
-      //   branch row: v_p - v_n - (2L/h) i_new = -(v_old + (2L/h) i_old)
-      for (std::size_t k = 0; k < nl.inductors().size(); ++k) {
-        const auto& ind = nl.inductors()[k];
-        const std::size_t br = nl.inductorBranchIndex(k);
-        if (ind.a != kGround) {
-          A(nl.nodeIndex(ind.a), br) += 1.0;
-          A(br, nl.nodeIndex(ind.a)) += 1.0;
-        }
-        if (ind.b != kGround) {
-          A(nl.nodeIndex(ind.b), br) -= 1.0;
-          A(br, nl.nodeIndex(ind.b)) -= 1.0;
-        }
-        const double zeq = 2.0 * ind.henry / h;
-        A(br, br) -= zeq;
-        rhs[br] = -(inds[k].vPrev + zeq * inds[k].iPrev);
-      }
-
-      // Trapezoidal companion: i = geq*(v - vPrev) - iPrev, geq = 2C/h.
-      for (const auto& cs : caps) {
-        const double geq = 2.0 * cs.c / h;
-        stampG(A, nl, cs.a, cs.b, geq);
-        const double ieq = -geq * cs.vPrev - cs.iPrev;
-        stampI(rhs, nl, cs.a, cs.b, ieq);
-      }
-
-      // Diodes come after the linear companion stamps so the batched solver
-      // (which adds per-iteration nonlinear stamps onto a precomputed linear
-      // base matrix) accumulates every cell in the same order.
-      for (const auto& d : nl.diodes()) {
-        const double vak = vIter[static_cast<std::size_t>(d.a)] -
-                           vIter[static_cast<std::size_t>(d.k)];
-        const DiodeOp dop = evalDiode(d, vak, nl.tempK);
-        stampG(A, nl, d.a, d.k, dop.gd);
-        stampI(rhs, nl, d.a, d.k, dop.id - dop.gd * vak);
-      }
-
-      for (std::size_t k = 0; k < nl.mosfets().size(); ++k) {
-        const auto& fet = nl.mosfets()[k];
-        const MosOp op = evalMos(fet.params, fet.type, fet.geom,
-                                 vIter[static_cast<std::size_t>(fet.d)],
-                                 vIter[static_cast<std::size_t>(fet.g)],
-                                 vIter[static_cast<std::size_t>(fet.s)],
-                                 vIter[static_cast<std::size_t>(fet.b)], nl.tempK);
-        addAt(A, nl, fet.d, fet.d, op.dIdVd);
-        addAt(A, nl, fet.d, fet.g, op.dIdVg);
-        addAt(A, nl, fet.d, fet.s, op.dIdVs);
-        addAt(A, nl, fet.d, fet.b, op.dIdVb);
-        addAt(A, nl, fet.s, fet.d, -op.dIdVd);
-        addAt(A, nl, fet.s, fet.g, -op.dIdVg);
-        addAt(A, nl, fet.s, fet.s, -op.dIdVs);
-        addAt(A, nl, fet.s, fet.b, -op.dIdVb);
-        const double ieq = op.ids -
-                           op.dIdVd * vIter[static_cast<std::size_t>(fet.d)] -
-                           op.dIdVg * vIter[static_cast<std::size_t>(fet.g)] -
-                           op.dIdVs * vIter[static_cast<std::size_t>(fet.s)] -
-                           op.dIdVb * vIter[static_cast<std::size_t>(fet.b)];
-        stampI(rhs, nl, fet.d, fet.s, ieq);
-      }
-
-      for (std::size_t k = 0; k < nl.vsources().size(); ++k) {
-        const auto& src = nl.vsources()[k];
-        const std::size_t br = nl.vsourceBranchIndex(k);
-        if (src.p != kGround) {
-          A(nl.nodeIndex(src.p), br) += 1.0;
-          A(br, nl.nodeIndex(src.p)) += 1.0;
-        }
-        if (src.n != kGround) {
-          A(nl.nodeIndex(src.n), br) -= 1.0;
-          A(br, nl.nodeIndex(src.n)) -= 1.0;
-        }
-        rhs[br] = src.vdc;
-      }
-      for (std::size_t k = 0; k < nl.vcvs().size(); ++k) {
-        const auto& e = nl.vcvs()[k];
-        const std::size_t br = nl.vcvsBranchIndex(k);
-        if (e.p != kGround) {
-          A(nl.nodeIndex(e.p), br) += 1.0;
-          A(br, nl.nodeIndex(e.p)) += 1.0;
-        }
-        if (e.n != kGround) {
-          A(nl.nodeIndex(e.n), br) -= 1.0;
-          A(br, nl.nodeIndex(e.n)) -= 1.0;
-        }
-        if (e.cp != kGround) A(br, nl.nodeIndex(e.cp)) -= e.gain;
-        if (e.cn != kGround) A(br, nl.nodeIndex(e.cn)) += e.gain;
-      }
-
-      if (!lu.factor(A)) return result;
-      x = lu.solve(rhs);
-
-      double maxStep = 0.0;
-      for (std::size_t i = 1; i < nl.nodeCount(); ++i) {
-        const double dv = x[i - 1] - vIter[i];
-        maxStep = std::max(maxStep, std::abs(dv));
-        vIter[i] = x[i - 1];
-      }
-      if (maxStep < options_.tolAbs) {
-        converged = true;
-        break;
-      }
-    }
-    if (!converged) return result;
-
-    // Accept the step: update companion states.
-    for (std::size_t k = 0; k < nl.inductors().size(); ++k) {
-      const auto& ind = nl.inductors()[k];
-      const double vNow = vIter[static_cast<std::size_t>(ind.a)] -
-                          vIter[static_cast<std::size_t>(ind.b)];
-      inds[k].iPrev = x[nl.inductorBranchIndex(k)];
-      inds[k].vPrev = vNow;
-    }
-    for (auto& cs : caps) {
-      const double vNow = vIter[static_cast<std::size_t>(cs.a)] -
-                          vIter[static_cast<std::size_t>(cs.b)];
-      const double geq = 2.0 * cs.c / h;
-      const double iNow = geq * (vNow - cs.vPrev) - cs.iPrev;
-      cs.vPrev = vNow;
-      cs.iPrev = iNow;
-    }
-    v = vIter;
-    result.times.push_back(static_cast<double>(step) * h);
-    result.voltages.push_back(v);
-    linalg::Vector br(nBranches, 0.0);
-    for (std::size_t k = 0; k < nBranches; ++k) br[k] = x[nl.nodeCount() - 1 + k];
-    result.branchCurrents.push_back(std::move(br));
-  }
-  result.completed = true;
-  return result;
-}
 
 Waveform TransientResult::waveform(NodeId n) const {
   Waveform w;

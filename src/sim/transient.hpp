@@ -1,4 +1,6 @@
-// Fixed-step trapezoidal transient analysis with a Newton solve per step.
+// Fixed-step trapezoidal transient analysis: options, result, and waveform
+// helpers. The integrator is TransientBatch (sim/op_batch.hpp), with a Newton
+// solve per step; a one-point run is a batch with one active lane.
 //
 // Capacitors use the trapezoidal companion model (geq = 2C/h); MOSFETs are
 // re-linearized each Newton iteration, with their parasitic capacitances
@@ -9,7 +11,6 @@
 #include <vector>
 
 #include "linalg/matrix.hpp"
-#include "sim/dc.hpp"
 #include "sim/netlist.hpp"
 
 namespace trdse::sim {
@@ -41,19 +42,6 @@ struct TransientResult {
   /// Mean |current| through the idx-th voltage source over the trailing
   /// fraction of the run — the ICO supply-power measurement.
   double meanVsourceCurrent(std::size_t vsrcIdx, double tailFraction = 0.5) const;
-};
-
-class TransientSolver {
- public:
-  TransientSolver(const Netlist& netlist, TransientOptions options = {});
-
-  /// Integrate from the given initial node voltages (e.g. a DC OP, possibly
-  /// perturbed to kick an oscillator out of its metastable point).
-  TransientResult run(const linalg::Vector& initialVoltages) const;
-
- private:
-  const Netlist& netlist_;
-  TransientOptions options_;
 };
 
 /// Rising-edge crossing times of a waveform through `threshold`

@@ -7,15 +7,18 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <stdexcept>
 #include <vector>
 
+#include "eval/circuit_backend.hpp"
 #include "eval/eval_engine.hpp"
 #include "eval/fault_injector.hpp"
 #include "eval/shared_cache.hpp"
 #include "io/checkpoint.hpp"
+#include "pvt/corners.hpp"
 #include "sim/fault.hpp"
 
 namespace trdse::eval {
@@ -51,16 +54,29 @@ core::SizingProblem faultGridProblem() {
 class CountingBackend final : public EvalBackend {
  public:
   std::string_view name() const override { return "counting"; }
-  core::EvalResult evaluate(const linalg::Vector&,
-                            const sim::PvtCorner&) const override {
-    ++calls;
-    core::EvalResult r;
-    r.ok = true;
-    r.measurements = {1.0, 2.0};
-    return r;
+  std::size_t batchWidth() const override { return 1; }
+  void evaluateBatch(const linalg::Vector* const*, const sim::PvtCorner*,
+                     const EvalContext*, core::EvalResult* results,
+                     std::size_t count) const override {
+    for (std::size_t i = 0; i < count; ++i) {
+      ++calls;
+      results[i].ok = true;
+      results[i].measurements = {1.0, 2.0};
+    }
   }
   mutable std::atomic<std::size_t> calls{0};
 };
+
+/// One request through a backend's only entry point: a chunk of one.
+core::EvalResult evalSlot(const EvalBackend& backend,
+                          const linalg::Vector& sizes,
+                          const sim::PvtCorner& corner,
+                          const EvalContext& ctx) {
+  const linalg::Vector* slot = &sizes;
+  core::EvalResult r;
+  backend.evaluateBatch(&slot, &corner, &ctx, &r, 1);
+  return r;
+}
 
 sim::FaultPlanConfig planConfig(std::uint64_t seed, double timeout,
                                 double nonconv, double nonfinite) {
@@ -133,7 +149,7 @@ TEST(FaultInjector, SynthesizesEachClassDeterministically) {
                       std::make_shared<const sim::FaultPlan>(
                           planConfig(1, 1.0, 0.0, 0.0)),
                       "amp");
-    const core::EvalResult r = inj.evaluate(sizes, corner, ctx);
+    const core::EvalResult r = evalSlot(inj, sizes, corner, ctx);
     EXPECT_FALSE(r.ok);
     EXPECT_EQ(r.failure, sim::FaultClass::kTimeout);
     EXPECT_EQ(inner->calls, 0u);
@@ -144,7 +160,7 @@ TEST(FaultInjector, SynthesizesEachClassDeterministically) {
                       std::make_shared<const sim::FaultPlan>(
                           planConfig(1, 0.0, 1.0, 0.0)),
                       "amp");
-    const core::EvalResult r = inj.evaluate(sizes, corner, ctx);
+    const core::EvalResult r = evalSlot(inj, sizes, corner, ctx);
     EXPECT_FALSE(r.ok);
     EXPECT_EQ(r.failure, sim::FaultClass::kNonConvergence);
     EXPECT_EQ(inner->calls, 0u);
@@ -156,7 +172,7 @@ TEST(FaultInjector, SynthesizesEachClassDeterministically) {
                       std::make_shared<const sim::FaultPlan>(
                           planConfig(1, 0.0, 0.0, 1.0)),
                       "amp");
-    const core::EvalResult r = inj.evaluate(sizes, corner, ctx);
+    const core::EvalResult r = evalSlot(inj, sizes, corner, ctx);
     EXPECT_EQ(inner->calls, 1u);
     EXPECT_TRUE(r.ok);
     EXPECT_EQ(r.failure, sim::FaultClass::kNone);
@@ -164,17 +180,6 @@ TEST(FaultInjector, SynthesizesEachClassDeterministically) {
     for (std::size_t i = 0; i < r.measurements.size(); ++i)
       sawNaN = sawNaN || std::isnan(r.measurements[i]);
     EXPECT_TRUE(sawNaN);
-  }
-  {  // Keyless calls bypass injection entirely.
-    auto inner = std::make_shared<CountingBackend>();
-    FaultInjector inj(inner,
-                      std::make_shared<const sim::FaultPlan>(
-                          planConfig(1, 1.0, 0.0, 0.0)),
-                      "amp");
-    const core::EvalResult r = inj.evaluate(sizes, corner);
-    EXPECT_TRUE(r.ok);
-    EXPECT_EQ(r.failure, sim::FaultClass::kNone);
-    EXPECT_EQ(inner->calls, 1u);
   }
   // Null arguments fail loudly.
   auto inner = std::make_shared<CountingBackend>();
@@ -321,77 +326,71 @@ TEST(EvalEngineFaults, BatchSurfacesFailuresInTheirSlots) {
   EXPECT_EQ(engine.cacheSize(), 3u - failed);
 }
 
-/// faultGridProblem plus a corner-batch evaluator (slot i = scalar evaluate
-/// of corner i), so the engine's batchedSim dispatch — and the
-/// FaultInjector's evaluateBatch override — actually engage.
-core::SizingProblem faultGridBatchProblem() {
-  core::SizingProblem p = faultGridProblem();
-  const core::CornerEvalFn scalar = p.evaluate;
-  p.evaluateBatch = [scalar](const linalg::Vector* const* sizes,
-                             const sim::PvtCorner* corners,
-                             core::EvalResult* results, std::size_t count) {
-    for (std::size_t i = 0; i < count; ++i)
-      results[i] = scalar(*sizes[i], corners[i]);
-  };
-  return p;
-}
-
-TEST(EvalEngineFaults, BatchedDispatchDrawsIdenticalFaultSlots) {
+TEST(EvalEngineFaults, ChunkShapeDrawsIdenticalFaultSlots) {
   // The fault identity tuple is (scope, snapped indices, corner, attempt) —
-  // nothing about dispatch shape. So with the same plan, a batched engine
-  // must fault on exactly the same (sizing, corner, attempt) slots as the
-  // scalar engine: same per-slot results, same ledger rows (retries and
-  // backoff included), same fault counters, for any thread count.
-  const core::SizingProblem problem = faultGridBatchProblem();
-  const std::vector<std::size_t> allCorners = {0, 1, 2};
+  // nothing about dispatch shape. So with the same plan, an engine over the
+  // four-lane CircuitBackend must fault on exactly the same (sizing, corner,
+  // attempt) slots as one over a one-lane CallbackBackend(problem.evaluate):
+  // same per-slot bytes, same ledger rows (retries and backoff included),
+  // same fault counters, for any thread count.
+  const auto wide = std::make_shared<CircuitBackend>("two_stage_opamp");
+  const core::SizingProblem& nominal = wide->problem();
+  const auto narrow = std::make_shared<CallbackBackend>(nominal.evaluate);
+  ASSERT_EQ(wide->batchWidth(), sim::kSimLanes);
+  ASSERT_EQ(narrow->batchWidth(), 1u);
+  const auto corners = pvt::nineCornerSet(1.1);
+  std::vector<std::size_t> allCorners(corners.size());
+  for (std::size_t i = 0; i < allCorners.size(); ++i) allCorners[i] = i;
+  const MeetsSpecFn meets = makeMeetsSpec(
+      core::ValueFunction(nominal.measurementNames, nominal.specs));
   for (const std::size_t threads : {1u, 2u, 4u}) {
-    EvalEngineConfig scalarCfg{/*cacheEvals=*/false, threads,
-                               /*recordLedger=*/true, /*batchedSim=*/false};
-    EvalEngineConfig batchCfg{/*cacheEvals=*/false, threads,
-                              /*recordLedger=*/true, /*batchedSim=*/true};
-    scalarCfg.retry.maxAttempts = 3;
-    batchCfg.retry.maxAttempts = 3;
-    EvalEngine scalarEngine(problem, scalarCfg);
-    EvalEngine batchEngine(problem, batchCfg);
+    EvalEngineConfig cfg{/*cacheEvals=*/false, threads, /*recordLedger=*/true};
+    cfg.retry.maxAttempts = 3;
+    EvalEngine narrowEngine(narrow, nominal.space, corners, meets, cfg);
+    EvalEngine wideEngine(wide, nominal.space, corners, meets, cfg);
     const auto plan = std::make_shared<const sim::FaultPlan>(
         planConfig(101, 0.15, 0.25, 0.15));
-    scalarEngine.injectFaults(plan, problem.name);
-    batchEngine.injectFaults(plan, problem.name);
+    narrowEngine.injectFaults(plan, nominal.name);
+    wideEngine.injectFaults(plan, nominal.name);
 
-    for (std::size_t gx = 0; gx < 9; gx += 2) {
-      const linalg::Vector sizes = {problem.space.gridValue(0, gx),
-                                    problem.space.gridValue(1, 8 - gx)};
-      const auto rs =
-          scalarEngine.evalBatch(allCorners, sizes, pvt::BlockKind::kSearch);
-      const auto rb =
-          batchEngine.evalBatch(allCorners, sizes, pvt::BlockKind::kSearch);
-      ASSERT_EQ(rs.size(), rb.size());
-      for (std::size_t c = 0; c < rs.size(); ++c) {
-        EXPECT_EQ(rs[c].ok, rb[c].ok) << "corner " << c;
-        EXPECT_EQ(rs[c].failure, rb[c].failure) << "corner " << c;
-        ASSERT_EQ(rs[c].measurements.size(), rb[c].measurements.size());
-        for (std::size_t m = 0; m < rs[c].measurements.size(); ++m)
-          EXPECT_EQ(rs[c].measurements[m], rb[c].measurements[m]);
+    for (std::size_t g = 0; g < 3; ++g) {
+      linalg::Vector sizes(nominal.space.dim());
+      for (std::size_t d = 0; d < sizes.size(); ++d)
+        sizes[d] = nominal.space.gridValue(
+            d, (g * 11 + d * 5) % nominal.space.param(d).steps);
+      const auto rn =
+          narrowEngine.evalBatch(allCorners, sizes, pvt::BlockKind::kSearch);
+      const auto rw =
+          wideEngine.evalBatch(allCorners, sizes, pvt::BlockKind::kSearch);
+      ASSERT_EQ(rn.size(), rw.size());
+      for (std::size_t c = 0; c < rn.size(); ++c) {
+        EXPECT_EQ(rn[c].ok, rw[c].ok) << "corner " << c;
+        EXPECT_EQ(rn[c].failure, rw[c].failure) << "corner " << c;
+        ASSERT_EQ(rn[c].measurements.size(), rw[c].measurements.size());
+        for (std::size_t m = 0; m < rn[c].measurements.size(); ++m)
+          EXPECT_EQ(0, std::memcmp(&rn[c].measurements[m],
+                                   &rw[c].measurements[m], sizeof(double)))
+              << "corner " << c << " meas " << m;
       }
     }
 
-    const auto& ls = scalarEngine.ledger().blocks();
-    const auto& lb = batchEngine.ledger().blocks();
-    ASSERT_EQ(ls.size(), lb.size());
-    for (std::size_t i = 0; i < ls.size(); ++i) {
-      EXPECT_EQ(ls[i].cornerIndex, lb[i].cornerIndex) << "block " << i;
-      EXPECT_EQ(ls[i].failed, lb[i].failed) << "block " << i;
-      EXPECT_EQ(ls[i].retries, lb[i].retries) << "block " << i;
-      EXPECT_EQ(ls[i].backoff, lb[i].backoff) << "block " << i;
-      EXPECT_EQ(ls[i].meetsSpec, lb[i].meetsSpec) << "block " << i;
+    const auto& ln = narrowEngine.ledger().blocks();
+    const auto& lw = wideEngine.ledger().blocks();
+    ASSERT_EQ(ln.size(), lw.size());
+    for (std::size_t i = 0; i < ln.size(); ++i) {
+      EXPECT_EQ(ln[i].cornerIndex, lw[i].cornerIndex) << "block " << i;
+      EXPECT_EQ(ln[i].failed, lw[i].failed) << "block " << i;
+      EXPECT_EQ(ln[i].retries, lw[i].retries) << "block " << i;
+      EXPECT_EQ(ln[i].backoff, lw[i].backoff) << "block " << i;
+      EXPECT_EQ(ln[i].meetsSpec, lw[i].meetsSpec) << "block " << i;
     }
-    EXPECT_EQ(scalarEngine.stats().attempts, batchEngine.stats().attempts);
-    EXPECT_EQ(scalarEngine.stats().faults, batchEngine.stats().faults);
-    EXPECT_EQ(scalarEngine.stats().failures, batchEngine.stats().failures);
-    EXPECT_EQ(scalarEngine.stats().backoffUnits,
-              batchEngine.stats().backoffUnits);
+    EXPECT_EQ(narrowEngine.stats().attempts, wideEngine.stats().attempts);
+    EXPECT_EQ(narrowEngine.stats().faults, wideEngine.stats().faults);
+    EXPECT_EQ(narrowEngine.stats().failures, wideEngine.stats().failures);
+    EXPECT_EQ(narrowEngine.stats().backoffUnits,
+              wideEngine.stats().backoffUnits);
     // The plan's rates are high enough that this exercises real faults.
-    EXPECT_GT(scalarEngine.stats().faults, 0u);
+    EXPECT_GT(narrowEngine.stats().faults, 0u);
   }
 }
 

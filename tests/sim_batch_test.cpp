@@ -1,16 +1,19 @@
-// Differential + property harness locking the scalar<->batched simulator
-// equivalence (sim/op_batch.hpp and the EvalEngine batchedSim dispatch).
+// Lane-engine harness (sim/op_batch.hpp): committed goldens, lane
+// independence, physics oracles, and the EvalEngine's chunked dispatch.
 //
-// Every numeric comparison here is on the *bit pattern* of the doubles, not
-// an epsilon: the batched backend's contract is that lane l reproduces the
-// scalar solver exactly (see the op_batch.hpp header for how the kernels and
-// compile flags guarantee it). An epsilon test would quietly accept the
-// contraction/vectorization drift these tests exist to catch.
+// Every numeric comparison between two runs is on the *bit pattern* of the
+// doubles, not an epsilon: lane l of any batch must reproduce the same
+// netlist alone in a one-lane batch exactly (see the op_batch.hpp header for
+// how the kernels and compile flags guarantee it). An epsilon test would
+// quietly accept the contraction/vectorization drift these tests exist to
+// catch. The goldens are FNV-1a hashes of those bit patterns, recorded from
+// the one-point DC and transient solvers this engine replaced.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cmath>
 #include <complex>
+#include <cstdint>
 #include <cstring>
 #include <random>
 #include <vector>
@@ -18,7 +21,12 @@
 #include <atomic>
 #include <memory>
 
+#include "circuits/folded_cascode.hpp"
+#include "circuits/ico.hpp"
+#include "circuits/ldo.hpp"
 #include "circuits/registry.hpp"
+#include "circuits/two_stage_opamp.hpp"
+#include "eval/circuit_backend.hpp"
 #include "eval/eval_engine.hpp"
 #include "pvt/corners.hpp"
 #include "sim/ac.hpp"
@@ -104,31 +112,95 @@ struct SinkLanes {
   }
 };
 
+/// FNV-1a over the bit patterns of a result: equal hashes <=> equal bits
+/// (up to a 2^-64 collision), so one constant pins a whole trace.
+struct BitHash {
+  std::uint64_t h = 1469598103934665603ull;
+  void u64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= static_cast<unsigned char>(v >> (8 * i));
+      h *= 1099511628211ull;
+    }
+  }
+  void f64(double x) {
+    std::uint64_t b;
+    std::memcpy(&b, &x, sizeof b);
+    u64(b);
+  }
+  void vec(const linalg::Vector& v) {
+    u64(v.size());
+    for (const double x : v) f64(x);
+  }
+};
+
+std::uint64_t hashDc(const DcResult& r) {
+  BitHash h;
+  h.u64(r.converged);
+  h.u64(static_cast<std::uint64_t>(r.iterations));
+  h.vec(r.v);
+  h.vec(r.branchCurrents);
+  h.u64(r.mosOps.size());
+  for (const MosOp& op : r.mosOps) {
+    for (const double x : {op.ids, op.dIdVd, op.dIdVg, op.dIdVs, op.dIdVb,
+                           op.gm, op.gds})
+      h.f64(x);
+  }
+  h.vec(r.diodeConductances);
+  return h.h;
+}
+
+std::uint64_t hashTransient(const TransientResult& r) {
+  BitHash h;
+  h.u64(r.completed);
+  h.u64(r.times.size());
+  for (const double t : r.times) h.f64(t);
+  h.u64(r.voltages.size());
+  for (const auto& v : r.voltages) h.vec(v);
+  h.u64(r.branchCurrents.size());
+  for (const auto& v : r.branchCurrents) h.vec(v);
+  return h.h;
+}
+
+// Goldens of the kitchen-sink lanes (SinkLanes, all-zero guesses): the DC
+// operating points and the 201-point transient traces below (tStop = 200 ps,
+// dt = 1 ps, started from each lane's operating point), as produced by the
+// one-point Newton and trapezoidal solvers before the lane engine became the
+// only engine. A mismatch means the simulator's arithmetic changed.
+constexpr std::array<std::uint64_t, kSimLanes> kDcGolden = {
+    0xbeb84d494ce97e35ull, 0x7fcc1669effda92full, 0x889594909b38db51ull,
+    0x64d2768652d85766ull};
+constexpr std::array<int, kSimLanes> kDcGoldenIterations = {11, 18, 7, 9};
+constexpr std::array<std::uint64_t, kSimLanes> kTransientGolden = {
+    0xac91311d2bee9ad9ull, 0x730473e918b2873full, 0x02d878978c7aa8d9ull,
+    0xb8688a38b11f455cull};
+
+TransientOptions sinkTransientOptions() {
+  TransientOptions topt;
+  topt.tStop = 2e-10;
+  topt.dt = 1e-12;
+  return topt;
+}
+
+/// Lane `l` of the sink set alone, in a one-lane batch.
+DcResult soloDc(const SinkLanes& lanes, std::size_t l) {
+  return solveDcBatch({lanes.nlp[l]}, {lanes.gp[l]})[0];
+}
+
 // ---- DC ------------------------------------------------------------------
 
-TEST(SimBatchDc, EveryLaneBitwiseMatchesScalarSolver) {
+TEST(SimBatchDc, EveryLaneMatchesItsOneLaneSolveAndTheGolden) {
   const SinkLanes lanes;
   const auto batch = solveDcBatch(lanes.nlp, lanes.gp);
   for (std::size_t l = 0; l < kSimLanes; ++l) {
-    const DcResult scalar = DcSolver(lanes.nls[l]).solve(lanes.gp[l]);
+    const DcResult solo = soloDc(lanes, l);
     const DcResult& b = batch[l];
-    ASSERT_EQ(scalar.converged, b.converged) << "lane " << l;
-    EXPECT_EQ(scalar.iterations, b.iterations) << "lane " << l;
-    ASSERT_EQ(scalar.v.size(), b.v.size());
-    for (std::size_t i = 0; i < scalar.v.size(); ++i)
-      ASSERT_BITS_EQ(scalar.v[i], b.v[i]);
-    ASSERT_EQ(scalar.branchCurrents.size(), b.branchCurrents.size());
-    for (std::size_t i = 0; i < scalar.branchCurrents.size(); ++i)
-      ASSERT_BITS_EQ(scalar.branchCurrents[i], b.branchCurrents[i]);
-    ASSERT_EQ(scalar.mosOps.size(), b.mosOps.size());
-    for (std::size_t i = 0; i < scalar.mosOps.size(); ++i) {
-      EXPECT_BITS_EQ(scalar.mosOps[i].ids, b.mosOps[i].ids);
-      EXPECT_BITS_EQ(scalar.mosOps[i].gm, b.mosOps[i].gm);
-      EXPECT_BITS_EQ(scalar.mosOps[i].gds, b.mosOps[i].gds);
-    }
-    ASSERT_EQ(scalar.diodeConductances.size(), b.diodeConductances.size());
-    for (std::size_t i = 0; i < scalar.diodeConductances.size(); ++i)
-      EXPECT_BITS_EQ(scalar.diodeConductances[i], b.diodeConductances[i]);
+    ASSERT_TRUE(b.converged) << "lane " << l;
+    EXPECT_EQ(b.iterations, kDcGoldenIterations[l]) << "lane " << l;
+    EXPECT_EQ(hashDc(b), kDcGolden[l]) << "lane " << l;
+    EXPECT_EQ(hashDc(solo), hashDc(b)) << "lane " << l;
+    ASSERT_EQ(solo.v.size(), b.v.size());
+    for (std::size_t i = 0; i < solo.v.size(); ++i)
+      ASSERT_BITS_EQ(solo.v[i], b.v[i]);
   }
 }
 
@@ -157,51 +229,59 @@ TEST(SimBatchDc, NullLanesAreSkippedAndSurvivorsUnchanged) {
 
 // ---- Transient -----------------------------------------------------------
 
-TEST(SimBatchTransient, TracesBitwiseMatchScalarSolver) {
+TEST(SimBatchTransient, TracesMatchOneLaneRunsAndTheGolden) {
   const SinkLanes lanes;
-  std::array<DcResult, kSimLanes> ops;
-  for (std::size_t l = 0; l < kSimLanes; ++l)
-    ops[l] = DcSolver(lanes.nls[l]).solve(lanes.gp[l]);
-
-  TransientOptions topt;
-  topt.tStop = 2e-10;
-  topt.dt = 1e-12;
+  const auto ops = solveDcBatch(lanes.nlp, lanes.gp);
+  const TransientOptions topt = sinkTransientOptions();
   std::array<const linalg::Vector*, kSimLanes> init{};
   for (std::size_t l = 0; l < kSimLanes; ++l) init[l] = &ops[l].v;
 
   TransientBatch batch(lanes.nlp, topt, init);
   batch.run();
   for (std::size_t l = 0; l < kSimLanes; ++l) {
-    const TransientResult scalar =
-        TransientSolver(lanes.nls[l], topt).run(ops[l].v);
+    TransientBatch solo({lanes.nlp[l]}, topt, {init[l]});
+    solo.run();
     const TransientResult& b = batch.result(static_cast<int>(l));
-    ASSERT_EQ(scalar.completed, b.completed) << "lane " << l;
-    ASSERT_EQ(scalar.times.size(), b.times.size()) << "lane " << l;
-    for (std::size_t t = 0; t < scalar.times.size(); ++t) {
-      ASSERT_BITS_EQ(scalar.times[t], b.times[t]);
-      ASSERT_EQ(scalar.voltages[t].size(), b.voltages[t].size());
-      for (std::size_t i = 0; i < scalar.voltages[t].size(); ++i)
-        ASSERT_BITS_EQ(scalar.voltages[t][i], b.voltages[t][i]);
-      for (std::size_t i = 0; i < scalar.branchCurrents[t].size(); ++i)
-        ASSERT_BITS_EQ(scalar.branchCurrents[t][i], b.branchCurrents[t][i]);
+    ASSERT_TRUE(b.completed) << "lane " << l;
+    ASSERT_EQ(b.times.size(), 201u) << "lane " << l;
+    EXPECT_EQ(hashTransient(b), kTransientGolden[l]) << "lane " << l;
+    EXPECT_EQ(hashTransient(solo.result(0)), hashTransient(b)) << "lane " << l;
+  }
+
+  // Null lanes leave the survivors unchanged: every strict subset of active
+  // lanes reproduces the full batch's traces bit for bit.
+  for (std::size_t keep = 1; keep < (1u << kSimLanes) - 1; ++keep) {
+    std::array<const Netlist*, kSimLanes> nlp{};
+    std::array<const linalg::Vector*, kSimLanes> part{};
+    for (std::size_t l = 0; l < kSimLanes; ++l) {
+      if (!(keep & (1u << l))) continue;
+      nlp[l] = lanes.nlp[l];
+      part[l] = init[l];
+    }
+    TransientBatch sub(nlp, topt, part);
+    sub.run();
+    for (std::size_t l = 0; l < kSimLanes; ++l) {
+      if (!(keep & (1u << l))) continue;
+      ASSERT_EQ(hashTransient(sub.result(static_cast<int>(l))),
+                kTransientGolden[l])
+          << "lane " << l << " of subset " << keep;
     }
   }
 }
 
 TEST(SimBatchTransient, SlicedSteppingEqualsSingleRun) {
   const SinkLanes lanes;
-  std::array<DcResult, kSimLanes> ops;
+  const auto ops = solveDcBatch(lanes.nlp, lanes.gp);
   std::array<const linalg::Vector*, kSimLanes> init{};
-  for (std::size_t l = 0; l < kSimLanes; ++l) {
-    ops[l] = DcSolver(lanes.nls[l]).solve(lanes.gp[l]);
-    init[l] = &ops[l].v;
-  }
-  TransientOptions topt;
-  topt.tStop = 2e-10;
-  topt.dt = 1e-12;
+  for (std::size_t l = 0; l < kSimLanes; ++l) init[l] = &ops[l].v;
+  const TransientOptions topt = sinkTransientOptions();
 
   TransientBatch whole(lanes.nlp, topt, init);
   whole.run();
+  for (std::size_t l = 0; l < kSimLanes; ++l)
+    ASSERT_EQ(hashTransient(whole.result(static_cast<int>(l))),
+              kTransientGolden[l])
+        << "lane " << l;
 
   // step(k); step(n-k) must land on the identical trajectory for any cut —
   // the scheduler may suspend/resume a batch anywhere.
@@ -218,10 +298,7 @@ TEST(SimBatchTransient, SlicedSteppingEqualsSingleRun) {
     for (std::size_t l = 0; l < kSimLanes; ++l) {
       const TransientResult& a = whole.result(static_cast<int>(l));
       const TransientResult& b = sliced.result(static_cast<int>(l));
-      ASSERT_EQ(a.times.size(), b.times.size());
-      for (std::size_t t = 0; t < a.times.size(); ++t)
-        for (std::size_t i = 0; i < a.voltages[t].size(); ++i)
-          ASSERT_BITS_EQ(a.voltages[t][i], b.voltages[t][i]);
+      ASSERT_EQ(hashTransient(a), hashTransient(b)) << "lane " << l;
     }
   }
 }
@@ -230,12 +307,9 @@ TEST(SimBatchTransient, SlicedSteppingEqualsSingleRun) {
 
 TEST(SimBatchAc, SweepBitwiseMatchesScalarSolver) {
   const SinkLanes lanes;
-  std::array<DcResult, kSimLanes> dcs;
+  const auto dcs = solveDcBatch(lanes.nlp, lanes.gp);
   std::array<const DcResult*, kSimLanes> ops{};
-  for (std::size_t l = 0; l < kSimLanes; ++l) {
-    dcs[l] = DcSolver(lanes.nls[l]).solve(lanes.gp[l]);
-    ops[l] = &dcs[l];
-  }
+  for (std::size_t l = 0; l < kSimLanes; ++l) ops[l] = &dcs[l];
   AcBatch ac(lanes.nlp, ops);
   const auto freqs = AcSolver::logSpace(10.0, 20e9, 60);
   for (const double f : freqs) {
@@ -388,19 +462,63 @@ TEST(DiodeProperty, ConductanceIsStrictlyPositive) {
   }
 }
 
-}  // namespace
-}  // namespace trdse::sim
+// ---- Physics oracle: Kirchhoff's laws at the operating point -------------
 
-// ---- EvalEngine-level equivalence ----------------------------------------
-
-namespace trdse::eval {
-namespace {
-
-testing::AssertionResult sameBits(double a, double b) {
-  if (std::memcmp(&a, &b, sizeof(double)) == 0)
-    return testing::AssertionSuccess();
-  return testing::AssertionFailure()
-         << std::scientific << a << " vs " << b << " (bit patterns differ)";
+/// Worst Kirchhoff violation of a converged operating point, recomputed from
+/// the node voltages and branch currents with the scalar device kernels:
+/// per node, the currents leaving it (devices, branch currents, and the
+/// solver's gmin to ground) must sum to zero relative to the currents
+/// involved; per voltage-defined branch, the branch equation must hold.
+/// Returns max over nodes of |sum| / (1 nA + sum of |terms|) and over
+/// branches of |violation| / 1 V.
+double kirchhoffResidual(const Netlist& nl, const DcResult& op) {
+  const std::size_t nodes = nl.nodeCount();
+  std::vector<double> net(nodes, 0.0);
+  std::vector<double> mag(nodes, 0.0);
+  const auto v = [&](NodeId n) { return op.v[static_cast<std::size_t>(n)]; };
+  const auto leave = [&](NodeId from, NodeId to, double i) {
+    net[static_cast<std::size_t>(from)] += i;
+    mag[static_cast<std::size_t>(from)] += std::abs(i);
+    net[static_cast<std::size_t>(to)] -= i;
+    mag[static_cast<std::size_t>(to)] += std::abs(i);
+  };
+  const auto branch = [&](std::size_t mnaIndex) {
+    return op.branchCurrents[mnaIndex - (nodes - 1)];
+  };
+  const double gmin = DcOptions{}.gmin;
+  for (std::size_t n = 1; n < nodes; ++n)
+    leave(static_cast<NodeId>(n), kGround, gmin * op.v[n]);
+  for (const auto& r : nl.resistors())
+    leave(r.a, r.b, (v(r.a) - v(r.b)) / r.ohms);
+  for (const auto& src : nl.isources()) leave(src.p, src.n, src.idc);
+  for (const auto& g : nl.vccs()) leave(g.p, g.n, g.gm * (v(g.cp) - v(g.cn)));
+  for (const auto& d : nl.diodes())
+    leave(d.a, d.k, evalDiode(d, v(d.a) - v(d.k), nl.tempK).id);
+  for (const auto& fet : nl.mosfets())
+    leave(fet.d, fet.s,
+          evalMos(fet.params, fet.type, fet.geom, v(fet.d), v(fet.g), v(fet.s),
+                  v(fet.b), nl.tempK)
+              .ids);
+  double worst = 0.0;
+  for (std::size_t k = 0; k < nl.vsources().size(); ++k) {
+    const auto& src = nl.vsources()[k];
+    leave(src.p, src.n, branch(nl.vsourceBranchIndex(k)));
+    worst = std::max(worst, std::abs(v(src.p) - v(src.n) - src.vdc));
+  }
+  for (std::size_t k = 0; k < nl.vcvs().size(); ++k) {
+    const auto& e = nl.vcvs()[k];
+    leave(e.p, e.n, branch(nl.vcvsBranchIndex(k)));
+    worst = std::max(worst, std::abs(v(e.p) - v(e.n) -
+                                     e.gain * (v(e.cp) - v(e.cn))));
+  }
+  for (std::size_t k = 0; k < nl.inductors().size(); ++k) {
+    const auto& ind = nl.inductors()[k];
+    leave(ind.a, ind.b, branch(nl.inductorBranchIndex(k)));
+    worst = std::max(worst, std::abs(v(ind.a) - v(ind.b)));
+  }
+  for (std::size_t n = 1; n < nodes; ++n)
+    worst = std::max(worst, std::abs(net[n]) / (1e-9 + mag[n]));
+  return worst;
 }
 
 /// A few deterministic on-grid sizings spread across the space.
@@ -419,71 +537,164 @@ std::vector<linalg::Vector> probeSizings(const core::DesignSpace& space,
   return out;
 }
 
-TEST(EvalEngineBatch, RegistryCircuitsBitwiseIdenticalAcrossModesAndThreads) {
-  // The acceptance bar of the batched backend: for every registry circuit,
-  // every corner of the nine-corner sign-off set, and every thread count,
-  // the engine with batchedSim on returns byte-identical results, ledger,
-  // and stats (minus wall-clock) to the scalar engine. Caching is off so
-  // every request actually exercises the backend dispatch under test.
+/// Solve the circuit's testbenches for `sizings` on every corner of the
+/// nine-corner sign-off set in four-lane batches, expect Kirchhoff's laws at
+/// each converged operating point, and return how many converged. Newton
+/// stops when the update falls under 1 nV (+1e-9 relative), so KCL must hold
+/// to well under a part per million of the currents at each node.
+template <typename Circuit>
+int expectKirchhoffAtConvergedPoints(
+    const Circuit& circuit, const std::vector<linalg::Vector>& sizings) {
+  constexpr double kTol = 1e-6;
+  const auto corners = pvt::nineCornerSet(circuit.card().nominalVdd);
+  std::vector<typename Circuit::Testbench> tbs;
+  for (const auto& x : sizings)
+    for (const auto& c : corners) tbs.push_back(circuit.buildTestbench(x, c));
+  int converged = 0;
+  for (std::size_t off = 0; off < tbs.size(); off += kSimLanes) {
+    std::array<const Netlist*, kSimLanes> nls{};
+    std::array<const linalg::Vector*, kSimLanes> guesses{};
+    for (std::size_t l = 0; l < kSimLanes && off + l < tbs.size(); ++l) {
+      nls[l] = &tbs[off + l].netlist;
+      guesses[l] = &tbs[off + l].initialGuess;
+    }
+    const auto ops = solveDcBatch(nls, guesses);
+    for (std::size_t l = 0; l < kSimLanes && off + l < tbs.size(); ++l) {
+      if (!ops[l].converged) continue;
+      ++converged;
+      EXPECT_LE(kirchhoffResidual(*nls[l], ops[l]), kTol)
+          << "testbench " << off + l;
+    }
+  }
+  return converged;
+}
+
+TEST(SimOracle, KirchhoffHoldsAtEveryConvergedOperatingPoint) {
+  using circuits::FoldedCascodeOta;
+  using circuits::Ico;
+  using circuits::Ldo;
+  using circuits::TwoStageOpamp;
+  EXPECT_GT(expectKirchhoffAtConvergedPoints(
+                TwoStageOpamp(bsim45Card()),
+                probeSizings(TwoStageOpamp::designSpace(bsim45Card()), 2)),
+            0);
+  EXPECT_GT(expectKirchhoffAtConvergedPoints(
+                FoldedCascodeOta(bsim45Card()),
+                probeSizings(FoldedCascodeOta::designSpace(bsim45Card()), 2)),
+            0);
+  auto ldoSizings = probeSizings(Ldo::designSpace(n6Card()), 2);
+  ldoSizings.push_back(Ldo::humanReferenceSizing());
+  EXPECT_GT(expectKirchhoffAtConvergedPoints(Ldo(n6Card()), ldoSizings), 0);
+  auto icoSizings = probeSizings(Ico::designSpace(n5Card()), 2);
+  icoSizings.push_back(Ico::humanReferenceSizing());
+  EXPECT_GT(expectKirchhoffAtConvergedPoints(Ico(n5Card()), icoSizings), 0);
+}
+
+}  // namespace
+}  // namespace trdse::sim
+
+// ---- EvalEngine-level equivalence ----------------------------------------
+
+namespace trdse::eval {
+namespace {
+
+testing::AssertionResult sameBits(double a, double b) {
+  if (std::memcmp(&a, &b, sizeof(double)) == 0)
+    return testing::AssertionSuccess();
+  return testing::AssertionFailure()
+         << std::scientific << a << " vs " << b << " (bit patterns differ)";
+}
+
+using sim::probeSizings;
+
+/// Engines over the same registry circuit that differ only in chunk shape:
+/// `wide` is the four-lane CircuitBackend, `narrow` a one-lane
+/// CallbackBackend over the problem's own evaluate (one simulator pass per
+/// request).
+struct EnginePair {
+  std::shared_ptr<CircuitBackend> wide;
+  std::shared_ptr<CallbackBackend> narrow;
+  std::vector<sim::PvtCorner> corners;
+  explicit EnginePair(const std::string& name)
+      : wide(std::make_shared<CircuitBackend>(name)),
+        narrow(std::make_shared<CallbackBackend>(wide->problem().evaluate)),
+        corners(pvt::nineCornerSet(wide->problem().corners[0].vdd)) {}
+  EvalEngine make(bool useWide, EvalEngineConfig cfg) const {
+    const core::SizingProblem& p = wide->problem();
+    std::shared_ptr<const EvalBackend> backend = wide;
+    if (!useWide) backend = narrow;
+    return EvalEngine(backend, p.space, corners,
+                      makeMeetsSpec(core::ValueFunction(p.measurementNames,
+                                                        p.specs)),
+                      cfg);
+  }
+};
+
+void expectSameBits(const std::vector<core::EvalResult>& a,
+                    const std::vector<core::EvalResult>& b,
+                    const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (std::size_t c = 0; c < a.size(); ++c) {
+    ASSERT_EQ(a[c].ok, b[c].ok) << what << " slot " << c;
+    ASSERT_EQ(a[c].failure, b[c].failure) << what << " slot " << c;
+    ASSERT_EQ(a[c].measurements.size(), b[c].measurements.size());
+    for (std::size_t m = 0; m < a[c].measurements.size(); ++m)
+      ASSERT_TRUE(sameBits(a[c].measurements[m], b[c].measurements[m]))
+          << what << " slot " << c << " meas " << m;
+  }
+}
+
+TEST(EvalEngineBatch, RegistryCircuitsBitwiseIdenticalAcrossWidthsAndThreads) {
+  // For every registry circuit, every corner of the nine-corner sign-off set,
+  // and every thread count, the engine over the four-lane CircuitBackend
+  // returns byte-identical results, ledger, and stats (minus wall-clock) to
+  // the engine over a one-lane CallbackBackend(problem.evaluate). Caching is
+  // off so every request actually exercises the backend dispatch under test.
   const auto& reg = circuits::Registry::global();
   for (const auto& name : reg.names()) {
-    const auto nominal = reg.makeProblem(name);
-    ASSERT_TRUE(static_cast<bool>(nominal.evaluateBatch))
-        << name << " does not publish a batch evaluator";
-    const double vdd = nominal.corners.empty() ? 1.1 : nominal.corners[0].vdd;
-    const auto problem = reg.makeProblem(name, pvt::nineCornerSet(vdd));
-    std::vector<std::size_t> cornerIdx(problem.corners.size());
+    const EnginePair pair(name);
+    ASSERT_EQ(pair.wide->batchWidth(), sim::kSimLanes) << name;
+    ASSERT_EQ(pair.narrow->batchWidth(), 1u) << name;
+    std::vector<std::size_t> cornerIdx(pair.corners.size());
     for (std::size_t i = 0; i < cornerIdx.size(); ++i) cornerIdx[i] = i;
-    const auto sizings = probeSizings(problem.space, 2);
+    const auto sizings = probeSizings(pair.wide->problem().space, 2);
 
     for (const std::size_t threads : {1u, 2u, 4u}) {
-      EvalEngineConfig scalarCfg{/*cacheEvals=*/false, threads,
-                                 /*recordLedger=*/true, /*batchedSim=*/false};
-      EvalEngineConfig batchCfg{/*cacheEvals=*/false, threads,
-                                /*recordLedger=*/true, /*batchedSim=*/true};
-      EvalEngine scalarEngine(problem, scalarCfg);
-      EvalEngine batchEngine(problem, batchCfg);
+      const EvalEngineConfig cfg{/*cacheEvals=*/false, threads,
+                                 /*recordLedger=*/true};
+      EvalEngine narrowEngine = pair.make(false, cfg);
+      EvalEngine wideEngine = pair.make(true, cfg);
       for (const auto& v : sizings) {
-        const auto rs = scalarEngine.evalBatch(cornerIdx, v,
+        const auto rn = narrowEngine.evalBatch(cornerIdx, v,
                                                pvt::BlockKind::kSearch);
-        const auto rb = batchEngine.evalBatch(cornerIdx, v,
-                                              pvt::BlockKind::kSearch);
-        ASSERT_EQ(rs.size(), rb.size());
-        for (std::size_t c = 0; c < rs.size(); ++c) {
-          ASSERT_EQ(rs[c].ok, rb[c].ok)
-              << name << " corner " << c << " threads " << threads;
-          ASSERT_EQ(rs[c].failure, rb[c].failure);
-          ASSERT_EQ(rs[c].measurements.size(), rb[c].measurements.size());
-          for (std::size_t m = 0; m < rs[c].measurements.size(); ++m)
-            ASSERT_TRUE(sameBits(rs[c].measurements[m], rb[c].measurements[m]))
-                << name << " corner " << c << " meas " << m << " threads "
-                << threads;
-        }
+        const auto rw =
+            wideEngine.evalBatch(cornerIdx, v, pvt::BlockKind::kSearch);
+        expectSameBits(rn, rw, name + " threads " + std::to_string(threads));
       }
       // Ledger: identical block sequence (EdaBlock carries no wall-clock).
-      const auto& ls = scalarEngine.ledger().blocks();
-      const auto& lb = batchEngine.ledger().blocks();
-      ASSERT_EQ(ls.size(), lb.size()) << name;
-      for (std::size_t i = 0; i < ls.size(); ++i) {
-        EXPECT_EQ(ls[i].cornerIndex, lb[i].cornerIndex);
-        EXPECT_EQ(ls[i].kind, lb[i].kind);
-        EXPECT_EQ(ls[i].meetsSpec, lb[i].meetsSpec);
-        EXPECT_EQ(ls[i].cached, lb[i].cached);
-        EXPECT_EQ(ls[i].failed, lb[i].failed);
-        EXPECT_EQ(ls[i].retries, lb[i].retries);
-        EXPECT_EQ(ls[i].backoff, lb[i].backoff);
+      const auto& ln = narrowEngine.ledger().blocks();
+      const auto& lw = wideEngine.ledger().blocks();
+      ASSERT_EQ(ln.size(), lw.size()) << name;
+      for (std::size_t i = 0; i < ln.size(); ++i) {
+        EXPECT_EQ(ln[i].cornerIndex, lw[i].cornerIndex);
+        EXPECT_EQ(ln[i].kind, lw[i].kind);
+        EXPECT_EQ(ln[i].meetsSpec, lw[i].meetsSpec);
+        EXPECT_EQ(ln[i].cached, lw[i].cached);
+        EXPECT_EQ(ln[i].failed, lw[i].failed);
+        EXPECT_EQ(ln[i].retries, lw[i].retries);
+        EXPECT_EQ(ln[i].backoff, lw[i].backoff);
       }
       // Stats: identical except backendSeconds (wall time, not semantics).
-      const EvalStats& ss = scalarEngine.stats();
-      const EvalStats& sb = batchEngine.stats();
-      EXPECT_EQ(ss.requests, sb.requests);
-      EXPECT_EQ(ss.simulated, sb.simulated);
-      EXPECT_EQ(ss.cacheHits, sb.cacheHits);
-      EXPECT_EQ(ss.sharedHits, sb.sharedHits);
-      EXPECT_EQ(ss.attempts, sb.attempts);
-      EXPECT_EQ(ss.faults, sb.faults);
-      EXPECT_EQ(ss.failures, sb.failures);
-      EXPECT_EQ(ss.backoffUnits, sb.backoffUnits);
+      const EvalStats& sn = narrowEngine.stats();
+      const EvalStats& sw = wideEngine.stats();
+      EXPECT_EQ(sn.requests, sw.requests);
+      EXPECT_EQ(sn.simulated, sw.simulated);
+      EXPECT_EQ(sn.cacheHits, sw.cacheHits);
+      EXPECT_EQ(sn.sharedHits, sw.sharedHits);
+      EXPECT_EQ(sn.attempts, sw.attempts);
+      EXPECT_EQ(sn.faults, sw.faults);
+      EXPECT_EQ(sn.failures, sw.failures);
+      EXPECT_EQ(sn.backoffUnits, sw.backoffUnits);
     }
   }
 }
@@ -491,35 +702,32 @@ TEST(EvalEngineBatch, RegistryCircuitsBitwiseIdenticalAcrossModesAndThreads) {
 TEST(EvalEngineBatch, OddBatchSizesAndRepeatsStayBitwiseIdentical) {
   // Request counts that do not divide the lane width (1, 3, 5, 9 requests)
   // force ragged tail chunks; duplicates force the cache-dedup path to
-  // interact with chunking. All must be invisible in the results.
-  const auto& reg = circuits::Registry::global();
-  const auto problem =
-      reg.makeProblem("two_stage_opamp", pvt::nineCornerSet(1.1));
-  const auto sizings = probeSizings(problem.space, 1);
+  // interact with chunking; evalOne is a chunk of one. All must be invisible
+  // in the results.
+  const EnginePair pair("two_stage_opamp");
+  const auto sizings = probeSizings(pair.wide->problem().space, 1);
   for (const std::size_t n : {1u, 3u, 5u, 9u}) {
     std::vector<std::size_t> cornerIdx(n);
     for (std::size_t i = 0; i < n; ++i) cornerIdx[i] = i % 9;
-    EvalEngine scalarEngine(
-        problem, EvalEngineConfig{true, 1, true, /*batchedSim=*/false});
-    EvalEngine batchEngine(
-        problem, EvalEngineConfig{true, 1, true, /*batchedSim=*/true});
-    const auto rs =
-        scalarEngine.evalBatch(cornerIdx, sizings[0], pvt::BlockKind::kSearch);
-    const auto rb =
-        batchEngine.evalBatch(cornerIdx, sizings[0], pvt::BlockKind::kSearch);
-    ASSERT_EQ(rs.size(), rb.size());
-    for (std::size_t c = 0; c < rs.size(); ++c) {
-      ASSERT_EQ(rs[c].ok, rb[c].ok);
-      for (std::size_t m = 0; m < rs[c].measurements.size(); ++m)
-        ASSERT_TRUE(sameBits(rs[c].measurements[m], rb[c].measurements[m]));
-    }
+    EvalEngine narrowEngine = pair.make(false, EvalEngineConfig{});
+    EvalEngine wideEngine = pair.make(true, EvalEngineConfig{});
+    const auto rn =
+        narrowEngine.evalBatch(cornerIdx, sizings[0], pvt::BlockKind::kSearch);
+    const auto rw =
+        wideEngine.evalBatch(cornerIdx, sizings[0], pvt::BlockKind::kSearch);
+    expectSameBits(rn, rw, std::to_string(n) + " requests");
+    // evalOne on a fresh engine (a miss) reproduces the batch slot.
+    EvalEngine single = pair.make(true, EvalEngineConfig{});
+    expectSameBits({single.evalOne(cornerIdx[n - 1], sizings[0],
+                                   pvt::BlockKind::kSearch)},
+                   {rw[n - 1]}, "evalOne");
   }
 }
 
-TEST(EvalEngineBatch, ProblemBatchEvaluatorMatchesScalarEvaluatePerSlot) {
+TEST(EvalEngineBatch, ProblemBatchEvaluatorMatchesOneLaneEvaluatePerSlot) {
   // The raw SizingProblem::evaluateBatch contract, without the engine in
-  // between: slot i == evaluate(sizes, corners[i]), bit for bit, for a
-  // ragged count too.
+  // between: slot i == evaluate(sizes, corners[i]) (a one-lane batch), bit
+  // for bit, for a ragged count too.
   const auto& reg = circuits::Registry::global();
   for (const auto& name : reg.names()) {
     const auto nominal = reg.makeProblem(name);
@@ -601,92 +809,78 @@ TEST(AssemblyPlanCache, RepeatSweepsRebuildNothingAndStayBitwise) {
 }
 
 /// Deterministic synthetic backend that records how the engine shaped its
-/// dispatch: every evaluateBatch chunk size in call order, plus the number
-/// of scalar calls. Results are a pure function of (sizes[0], corner) so
-/// the batched and scalar paths are trivially bitwise identical.
+/// dispatch: every evaluateBatch chunk size in call order. Results are a
+/// pure function of (sizes[0], corner), so any chunking yields the same bits.
 class ChunkRecordingBackend final : public EvalBackend {
  public:
+  explicit ChunkRecordingBackend(std::size_t width) : width_(width) {}
+
   std::string_view name() const override { return "chunk-recording"; }
 
-  core::EvalResult evaluate(const linalg::Vector& sizes,
-                            const sim::PvtCorner& corner) const override {
-    ++scalarCalls;
-    return make(sizes, corner);
-  }
-
-  std::size_t batchWidth() const override { return 4; }
+  std::size_t batchWidth() const override { return width_; }
 
   void evaluateBatch(const linalg::Vector* const* sizes,
                      const sim::PvtCorner* corners, const EvalContext*,
                      core::EvalResult* results,
                      std::size_t count) const override {
     chunkSizes.push_back(count);
-    for (std::size_t i = 0; i < count; ++i)
-      results[i] = make(*sizes[i], corners[i]);
+    for (std::size_t i = 0; i < count; ++i) {
+      results[i].ok = true;
+      results[i].measurements = linalg::Vector(1);
+      results[i].measurements[0] =
+          (*sizes[i])[0] + 1e3 * corners[i].vdd + corners[i].tempC;
+    }
   }
 
-  static core::EvalResult make(const linalg::Vector& sizes,
-                               const sim::PvtCorner& corner) {
-    core::EvalResult r;
-    r.ok = true;
-    r.measurements = linalg::Vector(1);
-    r.measurements[0] = sizes[0] + 1e3 * corner.vdd + corner.tempC;
-    return r;
-  }
-
-  mutable std::size_t scalarCalls = 0;
   mutable std::vector<std::size_t> chunkSizes;
+
+ private:
+  std::size_t width_;
 };
 
-TEST(EvalEngineBatch, RaggedTailOfOneDispatchesScalar) {
-  // The tail rule: a trailing chunk of exactly one miss runs through the
-  // scalar path (same bits by the batch contract, one lane's cost instead
-  // of a whole batch); tails of 2..width-1 stay batched. Verified against
-  // the recorded dispatch shape for every remainder class of width 4, with
-  // results identical to a batched-off engine.
+TEST(EvalEngineBatch, ChunkShapeIsFullLanesThenRaggedTail) {
+  // Misses go down in consecutive chunks of the backend's width with a
+  // ragged last chunk — a lone request is a chunk of one, never a scalar
+  // side path — and a width-1 backend sees one chunk per miss. Checked
+  // against the recorded dispatch shape for every remainder class of width
+  // 4, with results identical to the width-1 engine.
   const auto problem = circuits::Registry::global().makeProblem(
       "two_stage_opamp", pvt::nineCornerSet(1.1));
   struct Case {
     std::size_t requests;
     std::vector<std::size_t> wantChunks;
-    std::size_t wantScalar;
   };
   const std::vector<Case> cases = {
-      {1, {}, 1},        // lone request: batch of 1 would waste 3 lanes
-      {4, {4}, 0},       // exact chunk
-      {5, {4}, 1},       // tail of 1 -> scalar
-      {6, {4, 2}, 0},    // tail of 2 stays batched
-      {9, {4, 4}, 1},    // two chunks + scalar tail
+      {1, {1}}, {4, {4}}, {5, {4, 1}}, {6, {4, 2}}, {9, {4, 4, 1}},
   };
   for (const Case& c : cases) {
-    auto backend = std::make_shared<ChunkRecordingBackend>();
-    auto scalarBackend = std::make_shared<ChunkRecordingBackend>();
+    auto wide = std::make_shared<ChunkRecordingBackend>(4);
+    auto narrow = std::make_shared<ChunkRecordingBackend>(1);
     // threads=1 keeps chunk completion in submission order so the recorded
     // shape is deterministic; cache off so every request is a miss.
-    EvalEngine engine(backend, problem.space, problem.corners, {},
-                      EvalEngineConfig{false, 1, true, /*batchedSim=*/true});
-    EvalEngine scalarEngine(
-        scalarBackend, problem.space, problem.corners, {},
-        EvalEngineConfig{false, 1, true, /*batchedSim=*/false});
+    const EvalEngineConfig cfg{false, 1, true};
+    EvalEngine engine(wide, problem.space, problem.corners, {}, cfg);
+    EvalEngine narrowEngine(narrow, problem.space, problem.corners, {}, cfg);
     std::vector<std::size_t> cornerIdx(c.requests);
     for (std::size_t i = 0; i < c.requests; ++i) cornerIdx[i] = i % 9;
     const auto sizing = probeSizings(problem.space, 1)[0];
     const auto got =
         engine.evalBatch(cornerIdx, sizing, pvt::BlockKind::kSearch);
     const auto want =
-        scalarEngine.evalBatch(cornerIdx, sizing, pvt::BlockKind::kSearch);
+        narrowEngine.evalBatch(cornerIdx, sizing, pvt::BlockKind::kSearch);
 
-    EXPECT_EQ(backend->chunkSizes, c.wantChunks)
+    EXPECT_EQ(wide->chunkSizes, c.wantChunks)
         << c.requests << " requests: unexpected batch chunking";
-    EXPECT_EQ(backend->scalarCalls, c.wantScalar)
-        << c.requests << " requests: unexpected scalar-call count";
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      ASSERT_EQ(got[i].ok, want[i].ok);
-      for (std::size_t m = 0; m < got[i].measurements.size(); ++m)
-        ASSERT_TRUE(sameBits(got[i].measurements[m], want[i].measurements[m]));
-    }
+    EXPECT_EQ(narrow->chunkSizes, std::vector<std::size_t>(c.requests, 1))
+        << c.requests << " requests: width-1 backend must see chunks of one";
+    expectSameBits(got, want, std::to_string(c.requests) + " requests");
   }
+  // evalOne is a chunk of one on the same path.
+  auto wide = std::make_shared<ChunkRecordingBackend>(4);
+  EvalEngine engine(wide, problem.space, problem.corners, {},
+                    EvalEngineConfig{false, 1, true});
+  engine.evalOne(3, probeSizings(problem.space, 1)[0], pvt::BlockKind::kSearch);
+  EXPECT_EQ(wide->chunkSizes, std::vector<std::size_t>{1});
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "sim/diode.hpp"
 #include "sim/netlist_io.hpp"
 #include "sim/noise.hpp"
+#include "sim/op_batch.hpp"
 #include "sim/transient.hpp"
 
 namespace trdse::sim {
@@ -60,7 +61,7 @@ R2 mid 0 3k
 )";
   const auto parsed = parseNetlist(text, bsim45Card(), kTt);
   ASSERT_TRUE(parsed.netlist.has_value()) << parsed.error.message;
-  const DcResult r = DcSolver(*parsed.netlist).solve();
+  const DcResult r = solveDcBatch({&*parsed.netlist}, {})[0];
   ASSERT_TRUE(r.converged);
   EXPECT_NEAR(r.nodeVoltage(parsed.netlist->findNode("mid")), 1.5, 1e-6);
 }
@@ -75,7 +76,7 @@ Rload vdd out 20k
 )";
   const auto parsed = parseNetlist(text, bsim45Card(), kTt);
   ASSERT_TRUE(parsed.netlist.has_value()) << parsed.error.message;
-  const DcResult op = DcSolver(*parsed.netlist).solve();
+  const DcResult op = solveDcBatch({&*parsed.netlist}, {})[0];
   ASSERT_TRUE(op.converged);
   const AcSolver ac(*parsed.netlist, op);
   const auto x = ac.solveAt(100.0);
@@ -142,7 +143,7 @@ TEST(DiodeModel, RectifierDcOperatingPoint) {
   nl.addVSource(in, kGround, 1.0);
   nl.addDiode(in, out);
   nl.addResistor(out, kGround, 1e3);
-  const DcResult r = DcSolver(nl).solve();
+  const DcResult r = solveDcBatch({&nl}, {})[0];
   ASSERT_TRUE(r.converged);
   // Forward drop around 0.5-0.8 V at these currents.
   const double vd = r.nodeVoltage(in) - r.nodeVoltage(out);
@@ -160,7 +161,7 @@ TEST(Vccs, DcTransconductance) {
   nl.addVSource(in, kGround, 0.2);
   nl.addVccs(out, kGround, in, kGround, 1e-3);  // i = gm*v(in), out of `out`
   nl.addResistor(out, kGround, 5e3);
-  const DcResult r = DcSolver(nl).solve();
+  const DcResult r = solveDcBatch({&nl}, {})[0];
   ASSERT_TRUE(r.converged);
   // i = 0.2 * 1e-3 = 0.2 mA out of the node -> v = -i*R = -1.0 V.
   EXPECT_NEAR(r.nodeVoltage(out), -1.0, 1e-6);
@@ -175,7 +176,7 @@ TEST(Inductor, DcShort) {
   nl.addVSource(a, kGround, 1.0);
   nl.addInductor(a, b, 1e-6);
   nl.addResistor(b, kGround, 1e3);
-  const DcResult r = DcSolver(nl).solve();
+  const DcResult r = solveDcBatch({&nl}, {})[0];
   ASSERT_TRUE(r.converged);
   EXPECT_NEAR(r.nodeVoltage(b), 1.0, 1e-6);
   // Branch current: vsource then inductor in the branch vector.
@@ -190,7 +191,7 @@ TEST(Inductor, RlLowPassPole) {
   nl.addVSource(in, kGround, 0.0, 1.0);
   nl.addInductor(in, out, 1e-3);
   nl.addResistor(out, kGround, 1e3);
-  const DcResult op = DcSolver(nl).solve();
+  const DcResult op = solveDcBatch({&nl}, {})[0];
   ASSERT_TRUE(op.converged);
   const AcSolver ac(nl, op);
   const double f3 = 1e3 / (2.0 * std::numbers::pi * 1e-3);
@@ -208,7 +209,7 @@ TEST(Inductor, LcResonance) {
   nl.addResistor(in, mid, 50.0);
   nl.addInductor(mid, out, 1e-6);
   nl.addCapacitor(out, kGround, 1e-9);
-  const DcResult op = DcSolver(nl).solve();
+  const DcResult op = solveDcBatch({&nl}, {})[0];
   ASSERT_TRUE(op.converged);
   const AcSolver ac(nl, op);
   const double f0 = 1.0 / (2.0 * std::numbers::pi * std::sqrt(1e-6 * 1e-9));
@@ -233,7 +234,9 @@ TEST(Inductor, TransientRlStepResponse) {
   opts.includeDeviceCaps = false;
   linalg::Vector ic(nl.nodeCount(), 0.0);
   ic[static_cast<std::size_t>(in)] = 1.0;
-  const TransientResult r = TransientSolver(nl, opts).run(ic);
+  TransientBatch tran({&nl}, opts, {&ic});
+  tran.run();
+  const TransientResult r = tran.takeResult(0);
   ASSERT_TRUE(r.completed);
   // Current through the vsource at t = tau is -(V/R)(1 - 1/e).
   std::size_t idxTau = 0;
@@ -252,7 +255,7 @@ TEST(Noise, ResistorDividerMatchesAnalytic) {
   nl.addVSource(in, kGround, 1.0);
   nl.addResistor(in, out, 10e3);
   nl.addResistor(out, kGround, 10e3);
-  const DcResult op = DcSolver(nl).solve();
+  const DcResult op = solveDcBatch({&nl}, {})[0];
   ASSERT_TRUE(op.converged);
   const NoiseAnalyzer noise(nl, op);
   const auto r = noise.outputNoise({100.0, 1e4, 1e6}, out);
@@ -266,7 +269,7 @@ TEST(Noise, CapacitorRollsOffResistorNoise) {
   const NodeId out = nl.node("out");
   nl.addResistor(out, kGround, 10e3);
   nl.addCapacitor(out, kGround, 1e-9);
-  const DcResult op = DcSolver(nl).solve();
+  const DcResult op = solveDcBatch({&nl}, {})[0];
   ASSERT_TRUE(op.converged);
   const NoiseAnalyzer noise(nl, op);
   const double fPole = 1.0 / (2.0 * std::numbers::pi * 10e3 * 1e-9);
@@ -285,7 +288,7 @@ TEST(Noise, MosfetAmplifierInputReferred) {
   nl.addMosfet("M1", out, in, kGround, kGround, MosType::kNmos,
                {4e-6, 180e-9, 1.0}, card.nmos);
   nl.addResistor(vdd, out, 20e3);
-  const DcResult op = DcSolver(nl).solve();
+  const DcResult op = solveDcBatch({&nl}, {})[0];
   ASSERT_TRUE(op.converged);
   NoiseOptions nopt;
   nopt.includeFlicker = false;
@@ -316,7 +319,7 @@ TEST(Noise, FlickerRaisesLowFrequencies) {
   nl.addMosfet("M1", out, in, kGround, kGround, MosType::kNmos,
                {4e-6, 180e-9, 1.0}, card.nmos);
   nl.addResistor(vdd, out, 20e3);
-  const DcResult op = DcSolver(nl).solve();
+  const DcResult op = solveDcBatch({&nl}, {})[0];
   ASSERT_TRUE(op.converged);
   NoiseOptions with;
   with.includeFlicker = true;

@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <complex>
 #include <numbers>
 
 #include "sim/ac.hpp"
 #include "sim/dc.hpp"
 #include "sim/mosfet.hpp"
 #include "sim/netlist.hpp"
+#include "sim/op_batch.hpp"
 #include "sim/process.hpp"
 #include "sim/transient.hpp"
 
@@ -143,7 +146,7 @@ TEST(Dc, ResistorDivider) {
   nl.addVSource(vin, kGround, 2.0);
   nl.addResistor(vin, mid, 1e3);
   nl.addResistor(mid, kGround, 3e3);
-  const DcResult r = DcSolver(nl).solve();
+  const DcResult r = solveDcBatch({&nl}, {})[0];
   ASSERT_TRUE(r.converged);
   // gmin (1e-12 S to ground) shifts the exact answer by ~nV.
   EXPECT_NEAR(r.nodeVoltage(mid), 1.5, 1e-6);
@@ -155,7 +158,7 @@ TEST(Dc, CurrentSourceIntoResistor) {
   const NodeId n1 = nl.node("n1");
   nl.addISource(kGround, n1, 1e-3);  // 1 mA into n1
   nl.addResistor(n1, kGround, 2e3);
-  const DcResult r = DcSolver(nl).solve();
+  const DcResult r = solveDcBatch({&nl}, {})[0];
   ASSERT_TRUE(r.converged);
   EXPECT_NEAR(r.nodeVoltage(n1), 2.0, 1e-6);
 }
@@ -167,7 +170,7 @@ TEST(Dc, VcvsAmplifies) {
   nl.addVSource(in, kGround, 0.1);
   nl.addVcvs(out, kGround, in, kGround, 10.0);
   nl.addResistor(out, kGround, 1e3);
-  const DcResult r = DcSolver(nl).solve();
+  const DcResult r = solveDcBatch({&nl}, {})[0];
   ASSERT_TRUE(r.converged);
   EXPECT_NEAR(r.nodeVoltage(out), 1.0, 1e-9);
 }
@@ -182,7 +185,7 @@ TEST(Dc, DiodeConnectedMosfetBias) {
   nl.addISource(vdd, bias, 20e-6);
   nl.addMosfet("M8", bias, bias, kGround, kGround, MosType::kNmos,
                {4e-6, 90e-9, 1.0}, card.nmos);
-  const DcResult r = DcSolver(nl).solve();
+  const DcResult r = solveDcBatch({&nl}, {})[0];
   ASSERT_TRUE(r.converged);
   // Gate settles somewhat above threshold.
   EXPECT_GT(r.nodeVoltage(bias), 0.3);
@@ -204,7 +207,7 @@ TEST(Dc, CurrentMirrorCopies) {
   nl.addMosfet("M2", out, bias, kGround, kGround, MosType::kNmos,
                {8e-6, 180e-9, 1.0}, card.nmos);  // 2x width
   nl.addResistor(vdd, out, 10e3);
-  const DcResult r = DcSolver(nl).solve();
+  const DcResult r = solveDcBatch({&nl}, {})[0];
   ASSERT_TRUE(r.converged);
   // 2x mirror: ~20 µA through the resistor (CLM adds a few percent).
   const double iOut = (1.1 - r.nodeVoltage(out)) / 10e3;
@@ -224,7 +227,7 @@ TEST(Dc, CmosInverterTransfersLogic) {
                  card.pmos);
     nl.addMosfet("MN", out, in, kGround, kGround, MosType::kNmos,
                  {1e-6, 45e-9, 1.0}, card.nmos);
-    const DcResult r = DcSolver(nl).solve();
+    const DcResult r = solveDcBatch({&nl}, {})[0];
     ASSERT_TRUE(r.converged);
     if (vin < 0.5) {
       EXPECT_GT(r.nodeVoltage(out), 1.0);
@@ -244,7 +247,7 @@ TEST(Ac, RcLowPassPole) {
   nl.addVSource(in, kGround, 0.0, 1.0);
   nl.addResistor(in, out, 1e3);
   nl.addCapacitor(out, kGround, 1e-6);
-  const DcResult op = DcSolver(nl).solve();
+  const DcResult op = solveDcBatch({&nl}, {})[0];
   ASSERT_TRUE(op.converged);
   const AcSolver ac(nl, op);
   const double f3 = 1.0 / (2.0 * std::numbers::pi * 1e3 * 1e-6);
@@ -257,18 +260,25 @@ TEST(Ac, RcLowPassPole) {
               0.5);
 }
 
-TEST(Ac, CommonSourceGainMatchesGmRo) {
+/// Common-source stage: NMOS with a 20 kOhm load, AC drive on the gate.
+Netlist commonSourceStage(double vin) {
   const auto& card = bsim45Card();
   Netlist nl;
   const NodeId vdd = nl.node("vdd");
   const NodeId in = nl.node("in");
   const NodeId out = nl.node("out");
   nl.addVSource(vdd, kGround, 1.1);
-  nl.addVSource(in, kGround, 0.55, 1.0);
+  nl.addVSource(in, kGround, vin, 1.0);
   nl.addMosfet("M1", out, in, kGround, kGround, MosType::kNmos,
                {4e-6, 180e-9, 1.0}, card.nmos);
   nl.addResistor(vdd, out, 20e3);
-  const DcResult op = DcSolver(nl).solve();
+  return nl;
+}
+
+TEST(Ac, CommonSourceGainMatchesGmRo) {
+  const Netlist nl = commonSourceStage(0.55);
+  const NodeId out = nl.findNode("out");
+  const DcResult op = solveDcBatch({&nl}, {})[0];
   ASSERT_TRUE(op.converged);
   const AcSolver ac(nl, op);
   const auto x = ac.solveAt(100.0);
@@ -276,6 +286,36 @@ TEST(Ac, CommonSourceGainMatchesGmRo) {
   const MosOp& m = op.mosOps[0];
   const double expected = m.gm * (1.0 / (1.0 / 20e3 + m.gds));
   EXPECT_NEAR(gain, expected, expected * 0.02);
+}
+
+TEST(Ac, LowestFrequencyGainEqualsDcSmallSignalGain) {
+  // Oracle between analyses: at the bottom of a sweep grid the AC response
+  // of the common-source stage is its DC small-signal gain. That is
+  // -gm * (ro || RL) from the operating point, and also the slope of the DC
+  // transfer curve, measured here by a central difference of two more DC
+  // solves (one batch, two lanes) — no AC code involved.
+  const Netlist nl = commonSourceStage(0.55);
+  const NodeId out = nl.findNode("out");
+  const DcResult op = solveDcBatch({&nl}, {})[0];
+  ASSERT_TRUE(op.converged);
+  const AcSolver ac(nl, op);
+  const double fLow = AcSolver::logSpace(10.0, 20e9, 120).front();
+  const std::complex<double> h = ac.nodeVoltage(ac.solveAt(fLow), out);
+
+  const MosOp& m = op.mosOps[0];
+  const double gmRo = m.gm / (1.0 / 20e3 + m.gds);
+  constexpr double kDv = 1e-4;
+  const Netlist up = commonSourceStage(0.55 + kDv);
+  const Netlist down = commonSourceStage(0.55 - kDv);
+  const auto pair = solveDcBatch({&up, &down}, {});
+  ASSERT_TRUE(pair[0].converged && pair[1].converged);
+  const double slope =
+      (pair[0].nodeVoltage(out) - pair[1].nodeVoltage(out)) / (2.0 * kDv);
+
+  EXPECT_GT(gmRo, 1.0);  // a real amplifier, not a follower
+  EXPECT_NEAR(h.real(), -gmRo, gmRo * 1e-6);  // inverting, in phase
+  EXPECT_NEAR(h.imag(), 0.0, gmRo * 1e-6);
+  EXPECT_NEAR(h.real(), slope, gmRo * 1e-4);
 }
 
 TEST(Ac, LogSpaceGrid) {
@@ -333,7 +373,9 @@ TEST(Transient, RcChargingCurve) {
   opts.includeDeviceCaps = false;
   linalg::Vector ic(nl.nodeCount(), 0.0);
   ic[static_cast<std::size_t>(vin)] = 1.0;
-  const TransientResult r = TransientSolver(nl, opts).run(ic);
+  TransientBatch tran({&nl}, opts, {&ic});
+  tran.run();
+  const TransientResult r = tran.takeResult(0);
   ASSERT_TRUE(r.completed);
   const Waveform w = r.waveform(out);
   // Compare against the analytic curve at t = tau and t = 2 tau.
@@ -344,6 +386,51 @@ TEST(Transient, RcChargingCurve) {
   };
   EXPECT_NEAR(at(1e-6), 1.0 - std::exp(-1.0), 5e-3);
   EXPECT_NEAR(at(2e-6), 1.0 - std::exp(-2.0), 5e-3);
+}
+
+TEST(Transient, TrapezoidalErrorIsSecondOrderInDt) {
+  // RC step v(t) = 1 - exp(-t/tau). The companion currents start at zero,
+  // so the first step is backward Euler over dt/2 and the trace runs dt/2
+  // behind; after that the integrator is trapezoidal. Against the exact
+  // curve delayed by dt/2, the worst error must fall ~4x per halving of dt
+  // (global O(dt^2)); against the undelayed curve it is first order.
+  constexpr double kTau = 1e-6;
+  Netlist nl;
+  const NodeId vin = nl.node("in");
+  const NodeId out = nl.node("out");
+  nl.addVSource(vin, kGround, 1.0);
+  nl.addResistor(vin, out, 1e3);
+  nl.addCapacitor(out, kGround, 1e-9);
+  linalg::Vector ic(nl.nodeCount(), 0.0);
+  ic[static_cast<std::size_t>(vin)] = 1.0;
+  const auto worstError = [&](double dt, double delay) {
+    TransientOptions opts;
+    opts.tStop = 3.0 * kTau;
+    opts.dt = dt;
+    opts.includeDeviceCaps = false;
+    TransientBatch tran({&nl}, opts, {&ic});
+    tran.run();
+    const Waveform w = tran.result(0).waveform(out);
+    EXPECT_TRUE(w.valid);
+    double worst = 0.0;
+    for (std::size_t i = 1; i < w.t.size(); ++i) {
+      const double exact = 1.0 - std::exp(-(w.t[i] - delay) / kTau);
+      worst = std::max(worst, std::abs(w.v[i] - exact));
+    }
+    return worst;
+  };
+  double prev = 0.0;
+  double prevFirst = 0.0;
+  for (const double dt : {kTau / 16, kTau / 32, kTau / 64, kTau / 128}) {
+    const double err = worstError(dt, 0.5 * dt);
+    const double first = worstError(dt, 0.0);
+    if (prev > 0.0) {
+      EXPECT_NEAR(prev / err, 4.0, 0.4) << "dt = " << dt;
+      EXPECT_NEAR(prevFirst / first, 2.0, 0.2) << "dt = " << dt;
+    }
+    prev = err;
+    prevFirst = first;
+  }
 }
 
 TEST(Transient, RingOscillatorOscillates) {
@@ -362,14 +449,16 @@ TEST(Transient, RingOscillatorOscillates) {
                  MosType::kNmos, {1e-6, 45e-9, 1.0}, card.nmos);
     nl.addCapacitor(out, kGround, 5e-15);
   }
-  const DcResult op = DcSolver(nl).solve();
+  const DcResult op = solveDcBatch({&nl}, {})[0];
   ASSERT_TRUE(op.converged);
   linalg::Vector ic = op.v;
   ic[static_cast<std::size_t>(ring[0])] += 0.1;
   TransientOptions opts;
   opts.tStop = 2e-9;
   opts.dt = 1e-12;
-  const TransientResult r = TransientSolver(nl, opts).run(ic);
+  TransientBatch tran({&nl}, opts, {&ic});
+  tran.run();
+  const TransientResult r = tran.takeResult(0);
   ASSERT_TRUE(r.completed);
   const Waveform w = r.waveform(ring[2]);
   const double f = estimateFrequency(w, 0.55, 3);
@@ -388,7 +477,9 @@ TEST(Transient, BranchCurrentRecorded) {
   opts.includeDeviceCaps = false;
   linalg::Vector ic(nl.nodeCount(), 0.0);
   ic[static_cast<std::size_t>(vin)] = 1.0;
-  const TransientResult r = TransientSolver(nl, opts).run(ic);
+  TransientBatch tran({&nl}, opts, {&ic});
+  tran.run();
+  const TransientResult r = tran.takeResult(0);
   ASSERT_TRUE(r.completed);
   EXPECT_NEAR(r.meanVsourceCurrent(0), 1e-3, 1e-6);
 }

@@ -204,9 +204,10 @@ int cmdRun(ArgCursor args, bool resume) {
     // Stderr comment lines only: stdout is golden-diffed and wall time is
     // outside the determinism contract. Harvests from forked workers do not
     // carry the phase fields (they are never on the wire), so distributed
-    // runs attribute only coordinator-resident jobs. The phases are timed
-    // only inside the lane-batched kernels, so a run whose totals all print
-    // as 0.0 ms prints no line rather than a row of zeros that looks like a
+    // runs attribute only coordinator-resident jobs. Every simulation is
+    // timed (all of them run through the lane engines); a run whose totals
+    // all print as 0.0 ms — one that simulated nothing in this process —
+    // prints no line rather than a row of zeros that looks like a
     // measurement.
     {
       std::uint64_t dev = 0, stamp = 0, factor = 0, solve = 0;
